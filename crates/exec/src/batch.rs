@@ -16,6 +16,8 @@
 //!
 //! [`Layout`]: crate::row::Layout
 
+use crate::ops::join::Side;
+use crate::ops::kernel::Pairs;
 use hfqo_catalog::{Catalog, ColumnType};
 use hfqo_query::{BoundColumn, QueryGraph};
 use hfqo_storage::{ColumnVector, Value};
@@ -120,24 +122,16 @@ impl Batch {
         &self.cols[slot]
     }
 
+    /// The column vectors, in slot order.
+    #[inline]
+    pub fn columns(&self) -> &[ColumnVector] {
+        &self.cols
+    }
+
     /// The value at (`slot`, `row`).
     #[inline]
     pub fn value_at(&self, slot: usize, row: usize) -> Value {
         self.cols[slot].get(row)
-    }
-
-    /// Appends one row gathered from `src` columns at `src_row`, one
-    /// source per output column.
-    ///
-    /// `sources` yields `(source column, source row)` pairs in output
-    /// order; the common case routes through [`ColumnVector::push_from`]
-    /// so fixed-width values copy without materialising [`Value`]s.
-    #[inline]
-    pub fn push_gathered<'a>(&mut self, sources: impl Iterator<Item = (&'a ColumnVector, usize)>) {
-        for (slot, (src, src_row)) in sources.enumerate() {
-            self.cols[slot].push_from(src, src_row);
-        }
-        self.rows += 1;
     }
 
     /// Appends one row of owned values (used by aggregation output,
@@ -166,6 +160,21 @@ impl Batch {
         }
         debug_assert_eq!(gathered, self.cols.len());
         self.rows += row_ids.len();
+    }
+
+    /// Appends one joined row per pair `(left_rows[i], right_rows[i])`,
+    /// column-wise — the join's vectorised emission; see
+    /// [`gather_pairs`].
+    pub(crate) fn gather_pairs_from(
+        &mut self,
+        out_map: &[Side],
+        left: &[ColumnVector],
+        right: &[ColumnVector],
+        left_rows: &[u32],
+        right_rows: &[u32],
+    ) {
+        gather_pairs(&mut self.cols, out_map, left, right, left_rows, right_rows);
+        self.rows += left_rows.len();
     }
 
     /// Appends the rows named by an ascending selection vector,
@@ -243,6 +252,28 @@ impl Batch {
     }
 }
 
+/// Appends one joined row per pair `(left_rows[i], right_rows[i])` onto
+/// `dst`, column-wise: output slot `k` gathers from `left` or `right` as
+/// `out_map[k]` says, at that side's row of each pair. Row order is the
+/// pair order. Shared by the serial join and the parallel join stages.
+pub(crate) fn gather_pairs(
+    dst: &mut [ColumnVector],
+    out_map: &[Side],
+    left: &[ColumnVector],
+    right: &[ColumnVector],
+    left_rows: &[u32],
+    right_rows: &[u32],
+) {
+    debug_assert_eq!(left_rows.len(), right_rows.len());
+    debug_assert_eq!(out_map.len(), dst.len());
+    for (dst, side) in dst.iter_mut().zip(out_map) {
+        match side {
+            Side::Left(s) => left[*s].gather_into(left_rows, dst),
+            Side::Right(s) => right[*s].gather_into(right_rows, dst),
+        }
+    }
+}
+
 /// Accumulates rows into capacity-bounded batches.
 #[derive(Debug)]
 pub struct BatchBuilder {
@@ -275,6 +306,32 @@ impl BatchBuilder {
             let full = std::mem::replace(&mut self.current, Batch::new(&self.types));
             self.done.push_back(full);
         }
+    }
+
+    /// Appends the joined rows of `pairs` (see
+    /// [`Batch::gather_pairs_from`]) and clears them, sealing batches at
+    /// capacity exactly where a row-at-a-time append would.
+    pub(crate) fn take_pairs(
+        &mut self,
+        out_map: &[Side],
+        left: &[ColumnVector],
+        right: &[ColumnVector],
+        pairs: &mut Pairs,
+    ) {
+        let mut at = 0;
+        while at < pairs.len() {
+            let end = pairs.len().min(at + BATCH_CAPACITY - self.current.rows);
+            self.current.gather_pairs_from(
+                out_map,
+                left,
+                right,
+                &pairs.probe[at..end],
+                &pairs.build[at..end],
+            );
+            self.spill_if_full();
+            at = end;
+        }
+        pairs.clear();
     }
 
     /// Pops the next completed batch, if any.

@@ -723,6 +723,66 @@ mod tests {
         assert!(matches!(err, ExecError::BadAggregate(_)));
     }
 
+    /// An update error ahead of the budget's trip row wins, as it does
+    /// row by row: sweeping the budget across the aggregate's input, the
+    /// outcome turns from `BudgetExceeded` to `BadAggregate` at the
+    /// failing row, while the budget still cannot pay for the whole
+    /// batch.
+    #[test]
+    fn aggregate_error_before_the_trip_row_wins() {
+        let (db, graph) = null_setup();
+        let graph = QueryGraph::new(
+            graph.relations().to_vec(),
+            graph.joins().to_vec(),
+            vec![],
+            vec![
+                AggExpr {
+                    func: AggFunc::Count,
+                    column: None,
+                },
+                AggExpr {
+                    func: AggFunc::Sum,
+                    column: Some(BoundColumn::new(RelId(0), ColumnId(0))),
+                },
+            ],
+            vec![],
+        );
+        let join = PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![0],
+            left: Box::new(scan_node(0)),
+            right: Box::new(scan_node(1)),
+        };
+        let (rows, input_work) = count_rows_unvalidated(
+            &db,
+            &graph,
+            &PhysicalPlan::new(join.clone()),
+            ExecConfig::default(),
+        )
+        .unwrap();
+        assert!(rows > 1, "the aggregate's input is one multi-row batch");
+        let plan = PhysicalPlan::new(PlanNode::Aggregate {
+            algo: AggAlgo::Hash,
+            input: Box::new(join),
+        });
+        let outcome = |b| execute(&db, &graph, &plan, ExecConfig::with_budget(b));
+        let budgets = input_work..input_work + rows as u64;
+        let first_bad = budgets
+            .clone()
+            .find(|&b| matches!(outcome(b), Err(ExecError::BadAggregate(_))))
+            .expect("the error surfaces before the budget pays for the batch");
+        for b in budgets.start..first_bad {
+            let err = outcome(b).unwrap_err();
+            assert!(
+                matches!(err, ExecError::BudgetExceeded { work_done, budget } if work_done == b + 1 && budget == b),
+                "budget {b}: {err:?}"
+            );
+        }
+        for b in first_bad..budgets.end {
+            assert!(matches!(outcome(b), Err(ExecError::BadAggregate(_))));
+        }
+    }
+
     #[test]
     fn stats_only_execution_matches_full_execution() {
         let (db, graph) = setup();

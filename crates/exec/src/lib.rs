@@ -15,6 +15,7 @@
 //!         ├─ ScanOp      (ops/scan.rs)   ─┐
 //!         ├─ JoinOp      (ops/join.rs)    ├─ Operator: open / next_batch / close
 //!         └─ AggOp       (ops/agg.rs)    ─┘
+//!              └─ join and aggregate kernels (ops/kernel.rs), shared with parallel.rs
 //!              ⇅ Batch (batch.rs): fixed-capacity column vectors
 //! ```
 //!

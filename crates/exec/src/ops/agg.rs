@@ -2,13 +2,16 @@
 //!
 //! [`AggOp`] drains its input pipeline batch-by-batch, folding rows into
 //! per-group accumulators, then emits the result as batches of *group
-//! keys followed by aggregate values*. The accumulator type `Acc` is
+//! keys followed by aggregate values*. Without `GROUP BY` there is one
+//! accumulator row and no key: each batch folds column-wise through
+//! `fold_global` (`ops/kernel.rs`). The accumulator type `Acc` is
 //! shared with the reference row engine so both engines agree on
 //! aggregate semantics to the bit.
 
 use crate::batch::{Batch, BatchBuilder, Projection};
 use crate::error::ExecError;
 use crate::operator::Operator;
+use crate::ops::kernel::fold_global;
 use crate::ops::Budget;
 use hfqo_catalog::{Catalog, ColumnType};
 use hfqo_query::{AggAlgo, QueryError, QueryGraph};
@@ -212,6 +215,51 @@ impl<'a> AggOp<'a> {
     /// one unit per input row for the sort, one unit per input row for
     /// grouping, one per output row.
     fn drain_and_aggregate(&mut self, budget: &mut Budget) -> Result<(), ExecError> {
+        let (mut out_rows, input_rows) = if self.spec.key_slots.is_empty() {
+            self.drain_global(budget)?
+        } else {
+            self.drain_groups(budget)?
+        };
+        if self.algo == AggAlgo::Sort {
+            // The sort's cost (the row engine charges it up front; the
+            // batch engine knows the input size only after draining —
+            // identical totals either way).
+            budget.charge(input_rows)?;
+            out_rows.sort();
+        }
+        for row in &out_rows {
+            budget.charge(1)?;
+            self.builder.current_mut().push_values(row);
+            self.builder.spill_if_full();
+        }
+        self.builder.flush();
+        Ok(())
+    }
+
+    /// No `GROUP BY`: one accumulator row, folded a batch at a time with
+    /// no per-row key. Each batch folds the rows the budget still pays
+    /// for before charging, so an update error ahead of the trip row
+    /// wins as it does row by row. Always yields one row (SQL semantics:
+    /// `COUNT(*)` over nothing is 0).
+    fn drain_global(&mut self, budget: &mut Budget) -> Result<(Vec<Vec<Value>>, u64), ExecError> {
+        let mut accs = self.spec.new_accs();
+        let mut input_rows = 0u64;
+        while let Some(batch) = self.input.next_batch(budget)? {
+            let n = batch.rows() as u64;
+            let paid = n.min(budget.headroom()) as usize;
+            fold_global(&mut accs, &self.spec.agg_slots, batch.columns(), paid)?;
+            budget.charge_rows(n)?;
+            input_rows += n;
+        }
+        Ok((
+            vec![accs.into_iter().map(Acc::finish).collect()],
+            input_rows,
+        ))
+    }
+
+    /// `GROUP BY`: one unit per input row, folded into per-key
+    /// accumulators.
+    fn drain_groups(&mut self, budget: &mut Budget) -> Result<(Vec<Vec<Value>>, u64), ExecError> {
         let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
         let mut input_rows = 0u64;
         while let Some(batch) = self.input.next_batch(budget)? {
@@ -231,34 +279,14 @@ impl<'a> AggOp<'a> {
                 }
             }
         }
-        if self.algo == AggAlgo::Sort {
-            // The sort's cost (the row engine charges it up front; the
-            // batch engine knows the input size only after draining —
-            // identical totals either way).
-            budget.charge(input_rows)?;
-        }
-        // An aggregate over zero rows with no GROUP BY still yields one
-        // row (SQL semantics: COUNT(*) = 0).
-        if groups.is_empty() && self.spec.key_slots.is_empty() {
-            groups.insert(Vec::new(), self.spec.new_accs());
-        }
-        let mut out_rows: Vec<Vec<Value>> = groups
+        let out_rows = groups
             .into_iter()
             .map(|(mut key, accs)| {
                 key.extend(accs.into_iter().map(Acc::finish));
                 key
             })
             .collect();
-        if self.algo == AggAlgo::Sort {
-            out_rows.sort();
-        }
-        for row in &out_rows {
-            budget.charge(1)?;
-            self.builder.current_mut().push_values(row);
-            self.builder.spill_if_full();
-        }
-        self.builder.flush();
-        Ok(())
+        Ok((out_rows, input_rows))
     }
 }
 

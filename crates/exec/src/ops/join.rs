@@ -4,14 +4,26 @@
 //! pipelines, the resolved join conditions (slots into the children's
 //! projections), and the output gather map. The build side (always the
 //! *right* child, matching the row engine) is drained into unbounded
-//! [`Materialized`] columns; the probe side streams batch-by-batch, so a
-//! hash join's peak footprint is the build side plus one probe batch plus
-//! pending output — not the full cross product of inputs.
+//! [`Materialized`] columns; the probe side streams batch-by-batch.
+//!
+//! Probing runs through the `ops/kernel.rs` functions: a
+//! nested loop selects, per probe row, the matching rows of each window
+//! of up to `PAIR_FLUSH` inner rows; a hash or merge join refines each
+//! candidate list by its remaining conditions. Matches collect as
+//! `(probe row, build row)` pair vectors, flushed through one
+//! column-wise gather per output column whenever they reach
+//! `PAIR_FLUSH` pairs. Each window is charged in one bulk charge — its
+//! pair checks and its matches — after it is compared and before its
+//! pairs are gathered. A join's
+//! peak footprint is the build side, one probe batch, the output of that
+//! probe batch, and pair vectors under two batches long — not the full
+//! cross product of inputs.
 
 use crate::batch::{Batch, BatchBuilder, Projection};
 use crate::error::ExecError;
 use crate::operator::{ColSet, Materialized, Operator};
-use crate::ops::{eval_cmp_cols, first_eq, resolve_conds, Budget, SlotCond};
+use crate::ops::kernel::{refine, select, Pairs, PAIR_FLUSH};
+use crate::ops::{first_eq, hash_residual, resolve_conds, Budget, SlotCond};
 use hfqo_catalog::Catalog;
 use hfqo_query::{JoinAlgo, QueryError, QueryGraph};
 use hfqo_storage::Value;
@@ -72,6 +84,8 @@ enum State {
         build: Materialized,
         table: KeyTable,
         key: SlotCond,
+        /// The conditions a candidate must still pass.
+        residual: Vec<SlotCond>,
     },
     /// Nested loops: right side materialised, streaming left.
     Nested {
@@ -101,6 +115,10 @@ pub struct JoinOp<'a> {
     builder: BatchBuilder,
     state: State,
     input_done: bool,
+    /// Kernel scratch: the current window's matches.
+    sel: Vec<u32>,
+    /// Matched pairs awaiting their gather into `builder`.
+    pairs: Pairs,
 }
 
 impl<'a> JoinOp<'a> {
@@ -138,41 +156,30 @@ impl<'a> JoinOp<'a> {
             builder: BatchBuilder::new(out_types),
             state: State::Unopened,
             input_done: false,
+            sel: Vec::new(),
+            pairs: Pairs::default(),
         })
     }
 
-    /// Emits the joined row `(probe batch row, build row)` into the
-    /// builder and charges the emitted row.
-    #[inline]
-    fn emit(
-        builder: &mut BatchBuilder,
-        out_map: &[Side],
-        probe: &Batch,
-        p_row: usize,
-        build: &Materialized,
-        b_row: usize,
-        budget: &mut Budget,
-    ) -> Result<(), ExecError> {
-        builder
-            .current_mut()
-            .push_gathered(out_map.iter().map(|side| match side {
-                Side::Left(s) => (probe.column(*s), p_row),
-                Side::Right(s) => (&build.cols[*s], b_row),
-            }));
-        budget.charge(1)?;
-        builder.spill_if_full();
-        Ok(())
-    }
-
-    /// Joins one probe batch against the hash table.
+    /// Joins one probe batch against the hash table: one unit per probe
+    /// row, one per candidate, one per emitted row, each charged before
+    /// the rows it pays for are gathered.
     fn probe_hash(&mut self, batch: &Batch, budget: &mut Budget) -> Result<(), ExecError> {
-        let State::Hash { build, table, key } = &self.state else {
+        let State::Hash {
+            build,
+            table,
+            key,
+            residual,
+        } = &self.state
+        else {
             unreachable!("probe_hash outside hash state");
         };
+        budget.charge_rows(batch.rows() as u64)?;
+        let probe = batch.columns();
+        let (sel, pairs) = (&mut self.sel, &mut self.pairs);
         for row in 0..batch.rows() {
-            budget.charge(1)?;
-            let matches = match table {
-                KeyTable::Int(t) => batch.column(key.l_slot).int_at(row).and_then(|k| t.get(&k)),
+            let candidates = match table {
+                KeyTable::Int(t) => probe[key.l_slot].int_at(row).and_then(|k| t.get(&k)),
                 KeyTable::Any(t) => {
                     let k = batch.value_at(key.l_slot, row);
                     if k.is_null() {
@@ -182,66 +189,46 @@ impl<'a> JoinOp<'a> {
                     }
                 }
             };
-            if let Some(matches) = matches {
-                for &b_row in matches {
-                    budget.charge(1)?;
-                    let passes = self.conds.iter().all(|c| {
-                        eval_cmp_cols(
-                            c.op,
-                            batch.column(c.l_slot),
-                            row,
-                            &build.cols[c.r_slot],
-                            b_row as usize,
-                        )
-                    });
-                    if passes {
-                        Self::emit(
-                            &mut self.builder,
-                            &self.out_map,
-                            batch,
-                            row,
-                            build,
-                            b_row as usize,
-                            budget,
-                        )?;
-                    }
+            for window in candidates.map_or(&[][..], Vec::as_slice).chunks(PAIR_FLUSH) {
+                let matched = refine(residual, probe, row, &build.cols, window, sel);
+                budget.charge_rows((window.len() + matched.len()) as u64)?;
+                pairs.push_run(row, matched);
+                if pairs.is_full() {
+                    self.builder
+                        .take_pairs(&self.out_map, probe, &build.cols, pairs);
                 }
             }
         }
+        self.builder
+            .take_pairs(&self.out_map, probe, &build.cols, pairs);
         Ok(())
     }
 
     /// Joins one probe batch against the materialised inner side with
-    /// nested loops.
+    /// nested loops: per probe row and window of inner rows, one unit per
+    /// pair checked, then one per emitted row, each charged before the
+    /// rows it pays for are gathered.
     fn probe_nested(&mut self, batch: &Batch, budget: &mut Budget) -> Result<(), ExecError> {
         let State::Nested { inner } = &self.state else {
             unreachable!("probe_nested outside nested state");
         };
+        let probe = batch.columns();
+        let (sel, pairs) = (&mut self.sel, &mut self.pairs);
         for row in 0..batch.rows() {
-            for b_row in 0..inner.rows {
-                budget.charge(1)?;
-                let passes = self.conds.iter().all(|c| {
-                    eval_cmp_cols(
-                        c.op,
-                        batch.column(c.l_slot),
-                        row,
-                        &inner.cols[c.r_slot],
-                        b_row,
-                    )
-                });
-                if passes {
-                    Self::emit(
-                        &mut self.builder,
-                        &self.out_map,
-                        batch,
-                        row,
-                        inner,
-                        b_row,
-                        budget,
-                    )?;
+            for start in (0..inner.rows).step_by(PAIR_FLUSH) {
+                let window = start..inner.rows.min(start + PAIR_FLUSH);
+                let checked = window.len();
+                select(&self.conds, probe, row, &inner.cols, window, sel);
+                budget.charge_rows((checked + sel.len()) as u64)?;
+                pairs.push_run(row, sel);
+                if pairs.is_full() {
+                    self.builder
+                        .take_pairs(&self.out_map, probe, &inner.cols, pairs);
                 }
             }
         }
+        self.builder
+            .take_pairs(&self.out_map, probe, &inner.cols, pairs);
         Ok(())
     }
 
@@ -302,32 +289,31 @@ impl<'a> JoinOp<'a> {
                     else {
                         unreachable!();
                     };
-                    for lx in block_i.clone() {
-                        for rx in block_j.clone() {
-                            budget.charge(1)?;
-                            let l_row = li[lx] as usize;
-                            let r_row = ri[rx] as usize;
-                            let passes = self.conds.iter().all(|c| {
-                                eval_cmp_cols(
-                                    c.op,
-                                    &left.cols[c.l_slot],
-                                    l_row,
-                                    &right.cols[c.r_slot],
-                                    r_row,
-                                )
-                            });
-                            if passes {
-                                self.builder
-                                    .current_mut()
-                                    .push_gathered(self.out_map.iter().map(|side| match side {
-                                        Side::Left(s) => (&left.cols[*s], l_row),
-                                        Side::Right(s) => (&right.cols[*s], r_row),
-                                    }));
-                                budget.charge(1)?;
-                                self.builder.spill_if_full();
+                    let (sel, pairs) = (&mut self.sel, &mut self.pairs);
+                    for &l_row in &li[block_i] {
+                        for window in ri[block_j.clone()].chunks(PAIR_FLUSH) {
+                            let matched = refine(
+                                &self.conds,
+                                &left.cols,
+                                l_row as usize,
+                                &right.cols,
+                                window,
+                                sel,
+                            );
+                            budget.charge_rows((window.len() + matched.len()) as u64)?;
+                            pairs.push_run(l_row as usize, matched);
+                            if pairs.is_full() {
+                                self.builder.take_pairs(
+                                    &self.out_map,
+                                    &left.cols,
+                                    &right.cols,
+                                    pairs,
+                                );
                             }
                         }
                     }
+                    self.builder
+                        .take_pairs(&self.out_map, &left.cols, &right.cols, pairs);
                 }
             }
         }
@@ -373,7 +359,12 @@ impl JoinOp<'_> {
                     }
                     KeyTable::Any(t)
                 };
-                self.state = State::Hash { build, table, key };
+                self.state = State::Hash {
+                    build,
+                    table,
+                    key,
+                    residual: hash_residual(&self.conds, int_keyed),
+                };
             }
             JoinAlgo::NestedLoop => {
                 let r_width = self

@@ -7,11 +7,23 @@
 //! Charge *totals* are identical to the reference row engine's
 //! ([`crate::rowexec`]) — the equivalence suite asserts it — so budget
 //! semantics, catastrophic-plan aborts, and reward shaping are unchanged
-//! by vectorization; only the per-batch abort granularity differs.
+//! by vectorization.
+//!
+//! The per-row and per-pair work runs in column-at-a-time kernels
+//! (`ops/kernel.rs`, and the scan's predicate kernels) that compute but never
+//! charge. Operators charge in bulk with [`Budget::charge_rows`] *before*
+//! the rows a window pays for are materialised, and a window is at most
+//! about one batch. A bulk charge trips at the same unit and reports the
+//! same `work_done` as charging each unit as it is performed, so the
+//! serial engine's [`ExecError::BudgetExceeded`] is exactly that of a
+//! per-unit loop (`tests/golden/abort_trip_points.txt` pins it). The
+//! row engine charges the same units in a different order: its totals
+//! match, its `work_done` at an abort may not.
 
 pub mod agg;
 pub(crate) mod filter;
 pub mod join;
+pub(crate) mod kernel;
 pub mod scan;
 
 use crate::error::ExecError;
@@ -115,6 +127,19 @@ pub(crate) fn first_eq(conds: &[SlotCond]) -> Option<SlotCond> {
     conds.iter().copied().find(|c| c.op == CompareOp::Eq)
 }
 
+/// The conditions a hash-join candidate must still pass: all of them
+/// for a `Value`-keyed table, all but the key ([`first_eq`]) for an
+/// `i64`-keyed one, whose candidates satisfy it by construction.
+pub(crate) fn hash_residual(conds: &[SlotCond], int_keyed: bool) -> Vec<SlotCond> {
+    let key = conds.iter().position(|c| c.op == CompareOp::Eq);
+    conds
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| !(int_keyed && Some(i) == key))
+        .map(|(_, c)| *c)
+        .collect()
+}
+
 /// Validates an index-scan access path against the graph and catalog,
 /// probes the index with the driving predicate, and returns the
 /// matching row ids. Shared by both engines so their index behaviour
@@ -213,13 +238,19 @@ impl Budget {
         }
     }
 
+    /// Units that can still be charged without exceeding the limit.
+    #[inline]
+    pub fn headroom(&self) -> u64 {
+        self.limit.saturating_sub(self.work)
+    }
+
     /// Bulk-charges `n` single-unit rows with the same trip point and
     /// the same `work_done` at abort as calling [`Budget::charge`]`(1)`
     /// `n` times — vectorized operators charge whole windows without
     /// changing the exhaustion state the per-row engine would report.
     #[inline]
     pub fn charge_rows(&mut self, n: u64) -> Result<(), ExecError> {
-        let headroom = self.limit.saturating_sub(self.work);
+        let headroom = self.headroom();
         if n > headroom {
             self.charge(headroom + 1)
         } else {

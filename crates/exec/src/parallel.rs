@@ -31,29 +31,33 @@
 //!   and flush them to one shared atomic counter (every
 //!   `FLUSH_EVERY` units and at worker exit), so the final total
 //!   equals the serial engine's charge total exactly: `u64` addition is
-//!   commutative, and the per-row/per-candidate charge rules are the
-//!   same code paths. A plan aborts with `BudgetExceeded` under the
-//!   parallel evaluator iff it aborts under the serial one; only the
-//!   `work_done` overshoot reported on abort may differ.
+//!   commutative, and the join and aggregate stages call the serial
+//!   operators' kernels (`ops/kernel.rs`) with the same windows
+//!   and the same bulk charges (`Charger::charge` where the serial
+//!   path calls `Budget::charge_rows`). A plan aborts with
+//!   `BudgetExceeded` under the parallel evaluator iff it aborts under
+//!   the serial one; only the `work_done` overshoot reported on abort
+//!   may differ.
 //!
 //! Sort-merge joins sort their two sides concurrently (same stable sort,
 //! same comparator as the serial engine) but advance the merge cursors
 //! serially — the merge loop is inherently sequential and its charge
 //! pattern (one unit per cursor comparison) depends on the traversal.
-//! Global (non-`GROUP BY`) aggregates also fold serially: float
-//! accumulation is not associative, and a tree reduction would change
-//! result bits.
+//! Global (non-`GROUP BY`) aggregates also fold serially, through the
+//! serial operator's column-wise fold: float accumulation is not
+//! associative, and a tree reduction would change result bits.
 //!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
-use crate::batch::Projection;
+use crate::batch::{gather_pairs, Projection};
 use crate::error::ExecError;
 use crate::executor::ExecConfig;
 use crate::operator::{aggregate_inputs, scan_projection, ColSet};
 use crate::ops::agg::{Acc, AggSpec};
 use crate::ops::join::{join_output, Side};
+use crate::ops::kernel::{fold_global, refine, select, Pairs, PAIR_FLUSH};
 use crate::ops::scan::ScanSpec;
-use crate::ops::{eval_cmp_cols, first_eq, resolve_conds, SlotCond};
+use crate::ops::{first_eq, hash_residual, resolve_conds, SlotCond};
 use crate::row::Row;
 use hfqo_catalog::ColumnType;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryError, QueryGraph, RelId};
@@ -221,6 +225,27 @@ impl Chunk {
             cols: types.iter().map(|&t| ColumnVector::new(t)).collect(),
             rows: 0,
         }
+    }
+
+    /// Appends the joined rows of `pairs` column-wise, like the serial
+    /// join's emission, and clears them.
+    fn take_pairs(
+        &mut self,
+        out_map: &[Side],
+        left: &[ColumnVector],
+        right: &[ColumnVector],
+        pairs: &mut Pairs,
+    ) {
+        gather_pairs(
+            &mut self.cols,
+            out_map,
+            left,
+            right,
+            &pairs.probe,
+            &pairs.build,
+        );
+        self.rows += pairs.len();
+        pairs.clear();
     }
 }
 
@@ -403,25 +428,6 @@ fn eval_join(
     Ok(NodeOut { proj, types, data })
 }
 
-/// Appends one joined output row gathered from the two inputs.
-#[inline]
-fn emit_row(
-    chunk: &mut Chunk,
-    out_map: &[Side],
-    left: &[ColumnVector],
-    l_row: usize,
-    right: &[ColumnVector],
-    r_row: usize,
-) {
-    for (dst, side) in chunk.cols.iter_mut().zip(out_map) {
-        match side {
-            Side::Left(s) => dst.push_from(&left[*s], l_row),
-            Side::Right(s) => dst.push_from(&right[*s], r_row),
-        }
-    }
-    chunk.rows += 1;
-}
-
 /// Deterministic partition of a key: `DefaultHasher` is keyed with
 /// fixed constants, so the same key lands in the same partition on
 /// every run at every thread count.
@@ -533,12 +539,15 @@ fn hash_join(
         .collect();
 
     // Probe pass: one unit per probe row, one per candidate, one per
-    // emitted row — the serial probe charges.
-    let probe_col = &left.data.cols[key.l_slot];
+    // emitted row — the serial probe charges, through the same kernels.
+    let residual = hash_residual(conds, int_keyed);
+    let (probe, build) = (&left.data.cols, &right.data.cols);
+    let probe_col = &probe[key.l_slot];
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
         let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let (mut sel, mut pairs) = (Vec::new(), Pairs::default());
         while let Some((idx, range)) = morsels.claim() {
             charger.charge(range.len() as u64)?;
             let mut chunk = Chunk::empty(types);
@@ -561,32 +570,16 @@ fn hash_join(
                         }
                     }
                 };
-                if let Some(candidates) = candidates {
-                    for &b_row in candidates {
-                        charger.charge(1)?;
-                        let passes = conds.iter().all(|c| {
-                            eval_cmp_cols(
-                                c.op,
-                                &left.data.cols[c.l_slot],
-                                row,
-                                &right.data.cols[c.r_slot],
-                                b_row as usize,
-                            )
-                        });
-                        if passes {
-                            emit_row(
-                                &mut chunk,
-                                out_map,
-                                &left.data.cols,
-                                row,
-                                &right.data.cols,
-                                b_row as usize,
-                            );
-                            charger.charge(1)?;
-                        }
+                for window in candidates.map_or(&[][..], Vec::as_slice).chunks(PAIR_FLUSH) {
+                    let matched = refine(&residual, probe, row, build, window, &mut sel);
+                    charger.charge((window.len() + matched.len()) as u64)?;
+                    pairs.push_run(row, matched);
+                    if pairs.is_full() {
+                        chunk.take_pairs(out_map, probe, build, &mut pairs);
                     }
                 }
             }
+            chunk.take_pairs(out_map, probe, build, &mut pairs);
             out.push((idx, chunk));
         }
         charger.flush()?;
@@ -599,8 +592,8 @@ fn hash_join(
 }
 
 /// Parallel nested-loop join: probe morsels against the fully
-/// materialised inner side. One unit per (probe, inner) pair, one per
-/// emitted row.
+/// materialised inner side, through the serial kernels. One unit per
+/// (probe, inner) pair, one per emitted row.
 fn nested_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -609,38 +602,28 @@ fn nested_join(
     left: &NodeOut,
     right: &NodeOut,
 ) -> Result<Chunk, ExecError> {
+    let (probe, inner) = (&left.data.cols, &right.data.cols);
     let inner_rows = right.data.rows;
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
     let chunks = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
         let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let (mut sel, mut pairs) = (Vec::new(), Pairs::default());
         while let Some((idx, range)) = morsels.claim() {
             let mut chunk = Chunk::empty(types);
             for row in range {
-                for b_row in 0..inner_rows {
-                    charger.charge(1)?;
-                    let passes = conds.iter().all(|c| {
-                        eval_cmp_cols(
-                            c.op,
-                            &left.data.cols[c.l_slot],
-                            row,
-                            &right.data.cols[c.r_slot],
-                            b_row,
-                        )
-                    });
-                    if passes {
-                        emit_row(
-                            &mut chunk,
-                            out_map,
-                            &left.data.cols,
-                            row,
-                            &right.data.cols,
-                            b_row,
-                        );
-                        charger.charge(1)?;
+                for start in (0..inner_rows).step_by(PAIR_FLUSH) {
+                    let window = start..inner_rows.min(start + PAIR_FLUSH);
+                    let checked = window.len();
+                    select(conds, probe, row, inner, window, &mut sel);
+                    charger.charge((checked + sel.len()) as u64)?;
+                    pairs.push_run(row, &sel);
+                    if pairs.is_full() {
+                        chunk.take_pairs(out_map, probe, inner, &mut pairs);
                     }
                 }
             }
+            chunk.take_pairs(out_map, probe, inner, &mut pairs);
             out.push((idx, chunk));
         }
         charger.flush()?;
@@ -693,8 +676,10 @@ fn merge_join(
         }
     }
 
+    let (lcols, rcols) = (&left.data.cols, &right.data.cols);
     let mut chunk = Chunk::empty(types);
     let mut charger = Charger::new(ctx.budget);
+    let (mut sel, mut pairs) = (Vec::new(), Pairs::default());
     let (mut i, mut j) = (0usize, 0usize);
     while i < li.len() && j < ri.len() {
         charger.charge(1)?;
@@ -713,29 +698,13 @@ fn merge_join(
                     .last()
                     .unwrap_or(j)
                     + 1;
-                for &lx in &li[i..i_end] {
-                    for &rx in &ri[j..j_end] {
-                        charger.charge(1)?;
-                        let (l_row, r_row) = (lx as usize, rx as usize);
-                        let passes = conds.iter().all(|c| {
-                            eval_cmp_cols(
-                                c.op,
-                                &left.data.cols[c.l_slot],
-                                l_row,
-                                &right.data.cols[c.r_slot],
-                                r_row,
-                            )
-                        });
-                        if passes {
-                            emit_row(
-                                &mut chunk,
-                                out_map,
-                                &left.data.cols,
-                                l_row,
-                                &right.data.cols,
-                                r_row,
-                            );
-                            charger.charge(1)?;
+                for &l_row in &li[i..i_end] {
+                    for window in ri[j..j_end].chunks(PAIR_FLUSH) {
+                        let matched = refine(conds, lcols, l_row as usize, rcols, window, &mut sel);
+                        charger.charge((window.len() + matched.len()) as u64)?;
+                        pairs.push_run(l_row as usize, matched);
+                        if pairs.is_full() {
+                            chunk.take_pairs(out_map, lcols, rcols, &mut pairs);
                         }
                     }
                 }
@@ -744,6 +713,7 @@ fn merge_join(
             }
         }
     }
+    chunk.take_pairs(out_map, lcols, rcols, &mut pairs);
     charger.flush()?;
     Ok(chunk)
 }
@@ -761,12 +731,7 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
     let mut out_rows: Vec<Vec<Value>> = if spec.key_slots.is_empty() {
         ctx.budget.add(input_rows as u64)?;
         let mut accs = spec.new_accs();
-        for row in 0..input_rows {
-            for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
-                let v = slot.map(|s| child.data.cols[s].get(row));
-                acc.update(v.as_ref())?;
-            }
-        }
+        fold_global(&mut accs, &spec.agg_slots, &child.data.cols, input_rows)?;
         // An aggregate over zero rows with no GROUP BY still yields one
         // row (SQL semantics: COUNT(*) = 0) — `new_accs` covers it.
         vec![accs.into_iter().map(Acc::finish).collect()]

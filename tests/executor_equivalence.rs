@@ -503,7 +503,7 @@ mod encoding_equivalence {
     use proptest::prelude::*;
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    enum Enc {
+    pub(super) enum Enc {
         Plain,
         Dict,
         Rle,
@@ -521,7 +521,7 @@ mod encoding_equivalence {
     }
 
     /// Encodings under test: `HFQO_FORCE_ENCODING` or all three.
-    fn forced_encodings() -> &'static [Enc] {
+    pub(super) fn forced_encodings() -> &'static [Enc] {
         static ENCS: OnceLock<Vec<Enc>> = OnceLock::new();
         ENCS.get_or_init(|| match std::env::var("HFQO_FORCE_ENCODING") {
             Ok(raw) => raw.split(',').map(Enc::parse).collect(),
@@ -625,6 +625,352 @@ mod encoding_equivalence {
                 }
             }
         }
+    }
+}
+
+mod kernel_coverage {
+    //! A small fixture that reaches every branch of the column-at-a-time
+    //! join and aggregate kernels: nested-loop pair selection on every
+    //! comparison operator, NULL join keys on both sides, two-condition
+    //! joins, the typed `Int × Int` loops and the per-pair fallback
+    //! (`Int × Float` and text keys), and `COUNT`, `SUM`, `MIN`, `MAX`,
+    //! `AVG` without `GROUP BY` over nullable join output — for every
+    //! join algorithm that applies, at budgets that trip inside the
+    //! kernels. It follows the `HFQO_EXEC_THREADS` counts through
+    //! [`assert_equivalent`] and the `HFQO_FORCE_ENCODING` encodings
+    //! (its name matches the CI matrix's `encoding` filter), and every
+    //! encoding must reproduce the first one's serial outcome.
+
+    use super::encoding_equivalence::{forced_encodings, Enc};
+    use super::*;
+    use hfqo::catalog::{Column, ColumnId, ColumnType, TableSchema};
+    use hfqo::query::{AccessPath, AggExpr, BoundColumn, JoinEdge, RelId, Relation};
+    use hfqo::sql::{AggFunc, CompareOp};
+    use hfqo::storage::Value;
+    use hfqo_query::JoinAlgo;
+
+    /// `l(k int, f float, s text, v int)`, 24 rows, and `r(k int, f
+    /// float, s text, w float)`, 18 rows. Every column has NULLs; the
+    /// integer keys repeat in runs so run-length encoding applies, and
+    /// `r.f` holds whole numbers so `l.k = r.f` has matches.
+    fn fixture(enc: Enc) -> Database {
+        let cols = |last: (&str, ColumnType)| {
+            vec![
+                Column::nullable("k", ColumnType::Int),
+                Column::nullable("f", ColumnType::Float),
+                Column::nullable("s", ColumnType::Text),
+                Column::nullable(last.0, last.1),
+            ]
+        };
+        let mut cat = Catalog::new();
+        let l = cat
+            .add_table(TableSchema::new("l", cols(("v", ColumnType::Int))))
+            .unwrap();
+        let r = cat
+            .add_table(TableSchema::new("r", cols(("w", ColumnType::Float))))
+            .unwrap();
+        let mut db = Database::new(cat);
+        let null_if = |null: bool, v: Value| if null { Value::Null } else { v };
+        let words = ["ab", "b", "c", "d"];
+        for i in 0..24i64 {
+            let row = [
+                null_if(i % 7 == 3, Value::Int(i / 3)),
+                null_if(i % 5 == 1, Value::Float((i % 6) as f64 * 0.5)),
+                null_if(i % 6 == 4, Value::str(words[(i / 4 % 3) as usize])),
+                null_if(i % 4 == 2, Value::Int(i * 7 % 11 - 3)),
+            ];
+            db.table_mut(l).unwrap().append_row(&row).unwrap();
+        }
+        for i in 0..18i64 {
+            let row = [
+                null_if(i % 5 == 0, Value::Int(i / 2)),
+                null_if(i % 4 == 3, Value::Float((i % 5) as f64)),
+                null_if(i % 7 == 2, Value::str(words[(i / 3 % 4) as usize])),
+                null_if(i % 3 == 1, Value::Float(i as f64 * 0.25 - 1.0)),
+            ];
+            db.table_mut(r).unwrap().append_row(&row).unwrap();
+        }
+        for tid in [l, r] {
+            let table = db.table_mut(tid).unwrap();
+            match enc {
+                Enc::Plain => {}
+                Enc::Dict => {
+                    table.dictionary_encode_strings(usize::MAX);
+                }
+                Enc::Rle => {
+                    table.dictionary_encode_strings(usize::MAX);
+                    table.rle_encode_columns(1);
+                }
+            }
+        }
+        db
+    }
+
+    fn col(rel: u32, c: u32) -> BoundColumn {
+        BoundColumn::new(RelId(rel), ColumnId(c))
+    }
+
+    /// `l.<a> <op> r.<b>` over column ids.
+    fn edge(a: u32, op: CompareOp, b: u32) -> JoinEdge {
+        JoinEdge {
+            left: col(0, a),
+            op,
+            right: col(1, b),
+        }
+    }
+
+    /// Join-condition sets and the algorithms each admits (hash and
+    /// merge joins need an equality).
+    fn cases() -> Vec<(Vec<JoinEdge>, Vec<JoinAlgo>)> {
+        use CompareOp::*;
+        let all = vec![JoinAlgo::NestedLoop, JoinAlgo::Hash, JoinAlgo::Merge];
+        let nested = vec![JoinAlgo::NestedLoop];
+        let mut cases: Vec<_> = [Neq, Lt, Le, Gt, Ge]
+            .into_iter()
+            .map(|op| (vec![edge(0, op, 0)], nested.clone()))
+            .collect();
+        cases.extend([
+            (vec![edge(0, Eq, 0)], all.clone()),
+            // Two conditions, typed and fallback residuals.
+            (vec![edge(0, Eq, 0), edge(3, Lt, 0)], all.clone()),
+            (vec![edge(0, Le, 0), edge(1, Gt, 3)], nested.clone()),
+            // The edge's endpoints flipped relative to the inputs.
+            (
+                vec![JoinEdge {
+                    left: col(1, 0),
+                    op: Lt,
+                    right: col(0, 3),
+                }],
+                nested.clone(),
+            ),
+            // Int × Float keys: the per-pair fallback.
+            (vec![edge(0, Eq, 1)], nested.clone()),
+            (vec![edge(0, Ge, 1)], nested.clone()),
+            // Text keys: a `Value`-keyed hash table and the fallback.
+            (vec![edge(2, Eq, 2)], all),
+            (vec![edge(2, Lt, 2), edge(0, Neq, 0)], nested),
+        ]);
+        cases
+    }
+
+    fn aggregates() -> Vec<AggExpr> {
+        use AggFunc::*;
+        [
+            (Count, None),
+            (Count, Some(col(1, 3))),
+            (Sum, Some(col(1, 3))),
+            (Sum, Some(col(0, 3))),
+            (Avg, Some(col(0, 1))),
+            (Avg, Some(col(0, 3))),
+            (Min, Some(col(0, 3))),
+            (Max, Some(col(0, 3))),
+            (Min, Some(col(1, 1))),
+            (Max, Some(col(1, 3))),
+            (Min, Some(col(0, 2))),
+            (Max, Some(col(1, 2))),
+        ]
+        .into_iter()
+        .map(|(func, column)| AggExpr { func, column })
+        .collect()
+    }
+
+    /// Serial outcome: sorted rows and work, or the abort's report.
+    type Outcome = Result<(Vec<Vec<Value>>, u64), (u64, u64)>;
+
+    #[test]
+    fn join_and_aggregate_kernels_are_equivalent_in_every_encoding() {
+        let mut baseline: Option<(Enc, Vec<Outcome>)> = None;
+        for &enc in forced_encodings() {
+            let db = fixture(enc);
+            let (l, r) = (
+                db.catalog().table_by_name("l").unwrap(),
+                db.catalog().table_by_name("r").unwrap(),
+            );
+            let rels = vec![
+                Relation {
+                    table: l,
+                    alias: "l".into(),
+                },
+                Relation {
+                    table: r,
+                    alias: "r".into(),
+                },
+            ];
+            let mut outcomes = Vec::new();
+            for (ci, (edges, algos)) in cases().into_iter().enumerate() {
+                let conds: Vec<usize> = (0..edges.len()).collect();
+                let plain = QueryGraph::new(rels.clone(), edges.clone(), vec![], vec![], vec![]);
+                let agg = QueryGraph::new(rels.clone(), edges, vec![], aggregates(), vec![]);
+                for algo in algos {
+                    for swap in [false, true] {
+                        let scan = |rel| {
+                            Box::new(PlanNode::Scan {
+                                rel: RelId(rel),
+                                path: AccessPath::SeqScan,
+                            })
+                        };
+                        let (a, b) = if swap { (1, 0) } else { (0, 1) };
+                        let join = PlanNode::Join {
+                            algo,
+                            conds: conds.clone(),
+                            left: scan(a),
+                            right: scan(b),
+                        };
+                        let mut plans = vec![(&plain, PhysicalPlan::new(join.clone()))];
+                        for agg_algo in [AggAlgo::Hash, AggAlgo::Sort] {
+                            let root = PlanNode::Aggregate {
+                                algo: agg_algo,
+                                input: Box::new(join.clone()),
+                            };
+                            plans.push((&agg, PhysicalPlan::new(root)));
+                        }
+                        for (graph, plan) in &plans {
+                            for budget in [40, 400, ExecConfig::default().work_budget] {
+                                let config = ExecConfig::with_budget(budget);
+                                let what = format!(
+                                    "{enc:?} case {ci} {algo:?} swap={swap} budget={budget} {:?}",
+                                    plan.root
+                                );
+                                assert_equivalent(&db, graph, plan, config, &what);
+                                outcomes.push(
+                                    match hfqo::exec::execute(&db, graph, plan, config) {
+                                        Ok(out) => {
+                                            let mut rows = out.rows;
+                                            rows.sort();
+                                            Ok((rows, out.stats.work))
+                                        }
+                                        Err(ExecError::BudgetExceeded { work_done, budget }) => {
+                                            Err((work_done, budget))
+                                        }
+                                        Err(e) => panic!("{what}: {e:?}"),
+                                    },
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            match &baseline {
+                None => baseline = Some((enc, outcomes)),
+                Some((base_enc, base)) => {
+                    for (i, (got, want)) in outcomes.iter().zip(base).enumerate() {
+                        assert_eq!(got, want, "run {i}: {enc:?} vs {base_enc:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+mod trip_points {
+    //! Golden: where the serial batch engine stops. `assert_equivalent`
+    //! compares only the reported budget on aborts; this pins the full
+    //! outcome — `Ok(work)` or `BudgetExceeded(work_done)` — of every
+    //! over-budget JOB expert plan, a prefix of the others, and the
+    //! synthetic random-plan set, each at a ladder of budgets, so a
+    //! change to how operators charge (bulk vs per unit) cannot move a
+    //! trip point unnoticed. Regenerate deliberately with
+    //! `HFQO_BLESS=1 cargo test --test executor_equivalence golden`.
+
+    use super::*;
+    use hfqo::workload::imdb::{build_imdb, ImdbConfig};
+    use hfqo::workload::job::generate_job_suite;
+    use std::fmt::Write as _;
+
+    const GOLDEN: &str = "tests/golden/abort_trip_points.txt";
+    /// The default work budget: plans over it are the aborting ones.
+    const DEFAULT_BUDGET: u64 = 5_000_000;
+    /// Plans within the default budget pinned besides the aborting ones.
+    const JOB_PREFIX: usize = 12;
+
+    /// One outcome line per budget: 10, 10³, 10⁵, the default, and one
+    /// unit below the plan's unbudgeted work when that fits the default.
+    /// Returns the lines and whether the plan aborts at the default.
+    fn ladder(db: &Database, graph: &QueryGraph, plan: &PhysicalPlan) -> (String, bool) {
+        let run = |budget: u64| match hfqo::exec::execute(
+            db,
+            graph,
+            plan,
+            ExecConfig::with_budget(budget).threads(1),
+        ) {
+            Ok(o) => (format!("Ok({})", o.stats.work), Some(o.stats.work)),
+            Err(ExecError::BudgetExceeded {
+                work_done,
+                budget: b,
+            }) => {
+                assert_eq!(b, budget, "{:?}: reported budget", graph.label);
+                (format!("BudgetExceeded({work_done})"), None)
+            }
+            Err(e) => panic!("{:?}: {e:?}", graph.label),
+        };
+        let label = graph.label.as_deref().unwrap_or("?");
+        let (default_line, full) = run(DEFAULT_BUDGET);
+        let mut out = String::new();
+        for budget in [10, 1_000, 100_000] {
+            writeln!(out, "{label} {budget} {}", run(budget).0).unwrap();
+        }
+        writeln!(out, "{label} {DEFAULT_BUDGET} {default_line}").unwrap();
+        if let Some(w) = full.filter(|&w| w > 0) {
+            writeln!(out, "{label} {} {}", w - 1, run(w - 1).0).unwrap();
+        }
+        (out, full.is_none())
+    }
+
+    /// Every over-budget JOB expert plan and the first `JOB_PREFIX` of
+    /// the others, in suite order.
+    fn job_log() -> String {
+        let mut out = String::new();
+        let (db, stats) = build_imdb(ImdbConfig {
+            base_rows: 300,
+            seed: 21,
+        });
+        let optimizer = TraditionalOptimizer::new(db.catalog(), &stats);
+        let mut within = 0;
+        for q in generate_job_suite(db.catalog(), 21) {
+            let plan = optimizer.plan(&q.graph).expect("plannable").plan;
+            let (lines, aborts) = ladder(&db, &q.graph, &plan);
+            if aborts || within < JOB_PREFIX {
+                within += usize::from(!aborts);
+                out.push_str(&lines);
+            }
+        }
+        out
+    }
+
+    /// The `synth_random_plans_are_equivalent` set.
+    fn synth_log() -> String {
+        let mut out = String::new();
+        let db = synth();
+        let mut rng = StdRng::seed_from_u64(3);
+        for qseed in 0..6 {
+            let graph = db.query(Shape::Chain, 4, 2, qseed);
+            for p in 0..4 {
+                let plan = random_plan(&graph, db.db.catalog(), &mut rng);
+                let graph = graph.clone().with_label(format!("random-q{qseed}-p{p}"));
+                out.push_str(&ladder(&db.db, &graph, &plan).0);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn golden_abort_trip_points() {
+        // The two halves are independent; running them side by side
+        // keeps the test near 10 s in a debug build.
+        let log = std::thread::scope(|s| {
+            let job = s.spawn(job_log);
+            let synth = synth_log();
+            job.join().expect("JOB ladder") + &synth
+        });
+        if std::env::var_os("HFQO_BLESS").is_some() {
+            std::fs::write(GOLDEN, &log).expect("write golden");
+            return;
+        }
+        let golden = std::fs::read_to_string(GOLDEN).expect("golden file exists");
+        assert!(
+            log == golden,
+            "trip points moved; diff against {GOLDEN}:\n{log}"
+        );
     }
 }
 
