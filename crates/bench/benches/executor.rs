@@ -1,17 +1,16 @@
-//! Executor operator throughput: reference row engine vs vectorized
-//! batch pipeline, plus intra-query parallel scaling and bulk-load
-//! throughput.
+//! Executor operator throughput: reference row engine vs the batch
+//! engine, plus intra-query parallel scaling and bulk-load throughput.
 //!
 //! The workloads mirror what training actually executes — `COUNT(*)`
 //! joins (the paper's JOB-style queries) — plus a full-output join where
 //! both engines must materialise every column, and a plain scan. Each
 //! case runs through `execute_rows` (row-at-a-time reference) and
-//! `execute` (batch pipeline) so the speedup is directly visible in one
+//! `execute` (batch engine) so the speedup is directly visible in one
 //! report.
 //!
-//! `parallel_scaling` times the morsel-driven evaluator at 1/2/4/8
-//! threads on join-heavy queries, asserting result identity against the
-//! serial engine before any timing. On single-CPU containers the
+//! `parallel_scaling` times the batch engine at 1/2/4/8 threads on
+//! join-heavy queries, asserting result identity against one thread
+//! before any timing. On single-CPU containers the
 //! medians stay flat (there is nothing to scale onto) — the numbers are
 //! only meaningful on multi-core hosts.
 
@@ -158,8 +157,8 @@ fn bench_executor(c: &mut Criterion) {
 /// Predicate-kernel throughput across the selectivity range: a 20k-row
 /// table filtered at 1%/10%/50%/90% through an int column (plain
 /// storage) and a text column (dictionary + run-length encoded), each
-/// through the row engine, the batch pipeline's selection-vector
-/// kernels, and the 4-thread parallel evaluator. Result identity (and
+/// through the row engine, the batch engine's selection-vector
+/// kernels on one thread, and the same on four. Result identity (and
 /// the expected survivor count) is asserted before any timing.
 fn bench_filter_selectivity(c: &mut Criterion) {
     use hfqo_catalog::{Catalog, Column, ColumnId, ColumnType, TableSchema};

@@ -1,15 +1,15 @@
 //! The plan executor facade.
 //!
-//! [`execute`] runs a validated physical plan through the vectorized
-//! batch pipeline (see [`crate::operator`]) and materialises the final
-//! batches into rows for the caller. The reference row engine remains
+//! [`execute`] runs a validated physical plan through the stage
+//! evaluator ([`crate::parallel`]) and materialises the root's output
+//! into rows for the caller; [`execute_for_stats`] runs the same
+//! evaluator and only counts them. The reference row engine remains
 //! available as [`crate::rowexec::execute_rows`] with the same signature
 //! and identical results and work totals.
 
 use crate::error::ExecError;
-use crate::operator::{aggregate_inputs, all_columns, build_pipeline, ColSet};
 use crate::ops::agg::agg_output_type;
-use crate::ops::Budget;
+use crate::projection::{all_columns, ColSet};
 use crate::row::{Layout, Row};
 use hfqo_catalog::{Catalog, ColumnType};
 use hfqo_query::{BoundColumn, PhysicalPlan, PlanNode, QueryGraph};
@@ -24,16 +24,15 @@ pub struct ExecConfig {
     /// before the execution aborts. This is the "timeout" that makes
     /// catastrophic plans cheap to observe instead of hour-long runs.
     pub work_budget: u64,
-    /// Worker threads for intra-query parallelism. `1` (the default)
-    /// runs the serial pull pipeline; `> 1` dispatches to the
-    /// morsel-driven parallel evaluator ([`crate::parallel`]), whose
-    /// results and work totals are identical to the serial path at any
-    /// thread count. Worker teams are capped at the machine's available
-    /// parallelism — oversubscribing cores only adds scheduling
-    /// overhead.
+    /// Worker threads for intra-query parallelism: the largest team a
+    /// stage of the evaluator ([`crate::parallel`]) runs on. `1` (the
+    /// default) evaluates every stage on the calling thread; results
+    /// and work totals are identical at any thread count. Worker teams
+    /// are capped at the machine's available parallelism —
+    /// oversubscribing cores only adds scheduling overhead.
     pub threads: usize,
-    /// Rows per morsel claimed by parallel workers. Only read when
-    /// `threads > 1`; any positive value yields identical results.
+    /// Rows per morsel claimed by a stage's workers; any positive value
+    /// yields identical results and work totals.
     pub morsel_rows: usize,
 }
 
@@ -237,14 +236,15 @@ pub struct ExecOutcome {
     pub stats: ExecStats,
 }
 
-/// Executes a physical plan against a database with the vectorized batch
-/// engine.
+/// Executes a physical plan against a database with the batch engine,
+/// the morsel-driven stage evaluator ([`crate::parallel`]), at
+/// `config.threads` workers.
 ///
 /// The plan is validated first; execution then either completes within
 /// the work budget or aborts with [`ExecError::BudgetExceeded`]. Results
 /// (row multisets) and work totals are identical to the reference row
-/// engine ([`crate::rowexec::execute_rows`]); only per-batch abort
-/// granularity and hash-group emission order may differ.
+/// engine ([`crate::rowexec::execute_rows`]); only the `work_done`
+/// reported on abort and hash-group emission order may differ.
 pub fn execute(
     db: &hfqo_storage::Database,
     graph: &QueryGraph,
@@ -254,23 +254,14 @@ pub fn execute(
     plan.validate(graph)?;
     let start = Instant::now();
 
-    let required: ColSet = match &plan.root {
-        PlanNode::Aggregate { .. } => aggregate_inputs(graph),
+    // Plain queries carry every column, like the row engine; an
+    // aggregate root gets its keys and inputs from the evaluator.
+    let required = match &plan.root {
+        PlanNode::Aggregate { .. } => ColSet::new(),
         _ => all_columns(graph, db),
     };
-    let (rows, work) = if config.threads > 1 {
-        crate::parallel::execute_materialized(db, graph, &plan.root, &required, config)?
-    } else {
-        let mut budget = Budget::new(config.work_budget);
-        let mut op = build_pipeline(db, graph, &plan.root, &required)?;
-        op.open(&mut budget)?;
-        let mut rows: Vec<Row> = Vec::new();
-        while let Some(batch) = op.next_batch(&mut budget)? {
-            batch.export_rows(&mut rows);
-        }
-        op.close();
-        (rows, budget.work)
-    };
+    let (rows, work) =
+        crate::parallel::execute_materialized(db, graph, &plan.root, &required, config)?;
 
     Ok(ExecOutcome {
         rows,
@@ -284,10 +275,10 @@ pub fn execute(
 }
 
 /// Executes `plan` for its side observations only: returns the output
-/// row count and the work performed, materialising nothing. The
-/// pipeline carries zero columns beyond what joins and aggregates need
-/// internally, and work charges are column-independent, so the work
-/// total is identical to a full [`execute`]. Validates the plan like
+/// row count and the work performed, exporting no rows. Plan nodes
+/// carry zero columns beyond what joins and aggregates need internally,
+/// and work charges are column-independent, so the work total is
+/// identical to a full [`execute`]. Validates the plan like
 /// [`execute`].
 pub fn execute_for_stats(
     db: &hfqo_storage::Database,
@@ -308,19 +299,9 @@ pub(crate) fn count_rows_unvalidated(
     plan: &PhysicalPlan,
     config: ExecConfig,
 ) -> Result<(usize, u64), ExecError> {
-    let mut budget = Budget::new(config.work_budget);
-    let required = match &plan.root {
-        PlanNode::Aggregate { .. } => aggregate_inputs(graph),
-        _ => ColSet::new(),
-    };
-    let mut op = build_pipeline(db, graph, &plan.root, &required)?;
-    op.open(&mut budget)?;
-    let mut rows = 0usize;
-    while let Some(batch) = op.next_batch(&mut budget)? {
-        rows += batch.rows();
-    }
-    op.close();
-    Ok((rows, budget.work))
+    // No output column is required; an aggregate root still gets its
+    // keys and inputs.
+    crate::parallel::count_rows(db, graph, &plan.root, &ColSet::new(), config)
 }
 
 #[cfg(test)]
@@ -783,6 +764,56 @@ mod tests {
         }
     }
 
+    /// The same sweep with `GROUP BY b.w` (one group per input row), on
+    /// one and on two workers: at every budget the outcome, and the
+    /// message of an error, are the row engine's — the error names the
+    /// first failing input row however the groups are partitioned.
+    #[test]
+    fn grouped_aggregate_error_before_the_trip_row_wins() {
+        let (db, graph) = null_setup();
+        let graph = QueryGraph::new(
+            graph.relations().to_vec(),
+            graph.joins().to_vec(),
+            vec![],
+            vec![AggExpr {
+                func: AggFunc::Sum,
+                column: Some(BoundColumn::new(RelId(0), ColumnId(0))),
+            }],
+            vec![BoundColumn::new(RelId(1), ColumnId(1))],
+        );
+        let join = PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![0],
+            left: Box::new(scan_node(0)),
+            right: Box::new(scan_node(1)),
+        };
+        let (rows, input_work) = count_rows_unvalidated(
+            &db,
+            &graph,
+            &PhysicalPlan::new(join.clone()),
+            ExecConfig::default(),
+        )
+        .unwrap();
+        assert!(rows > 1, "several groups to partition");
+        let plan = PhysicalPlan::new(PlanNode::Aggregate {
+            algo: AggAlgo::Hash,
+            input: Box::new(join),
+        });
+        for threads in [1, 2] {
+            for b in input_work..=input_work + rows as u64 + 1 {
+                let config = ExecConfig::with_budget(b);
+                let expected = execute_rows(&db, &graph, &plan, config).unwrap_err();
+                let got = execute(&db, &graph, &plan, config.threads(threads).morsel_rows(1))
+                    .unwrap_err();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{expected:?}"),
+                    "threads {threads}, budget {b}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn stats_only_execution_matches_full_execution() {
         let (db, graph) = setup();
@@ -797,7 +828,7 @@ mod tests {
             let (rows, work) =
                 execute_for_stats(&db, &graph, &plan, ExecConfig::default()).unwrap();
             // Work charges are column-independent: the zero-column
-            // pipeline must observe the identical totals.
+            // count path must observe the identical totals.
             assert_eq!(rows, full.rows.len(), "{algo:?}");
             assert_eq!(work, full.stats.work, "{algo:?}");
         }
@@ -962,8 +993,8 @@ mod tests {
             execute(&db, &graph, &cross, ExecConfig::with_budget(300)),
             Err(ExecError::BudgetExceeded { budget: 300, .. })
         ));
-        // The parallel evaluator charges the same totals, so it aborts
-        // exactly when the serial engine does.
+        // Every team size charges the same totals, so four workers
+        // abort exactly when one does.
         let err =
             execute(&db, &graph, &cross, ExecConfig::with_budget(300).threads(4)).unwrap_err();
         assert!(matches!(err, ExecError::BudgetExceeded { budget: 300, .. }));

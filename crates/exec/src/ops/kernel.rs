@@ -1,11 +1,10 @@
 //! Column-at-a-time join and aggregate kernels.
 //!
-//! The kernels compute but never charge. Their callers — the serial
-//! [`JoinOp`](super::join::JoinOp) and [`AggOp`](super::agg::AggOp) and
-//! the morsel stages in [`crate::parallel`] — charge the work a kernel
-//! call stands for in bulk, after at most one window of comparisons and
-//! *before* the pairs it pays for are materialised, so charge totals and
-//! serial trip points are those of a loop charging one unit per pair:
+//! The kernels compute but never charge. Their callers — the morsel
+//! stages in [`crate::parallel`] — charge the work a kernel call stands
+//! for in bulk, after at most one window of comparisons and *before* the
+//! pairs it pays for are materialised, so charge totals are those of a
+//! loop charging one unit per pair:
 //!
 //! * [`select`] picks the inner rows of a window that pair with one
 //!   probe row (the nested-loop pair check), [`refine`] filters a
@@ -13,13 +12,13 @@
 //!   blocks). `Int × Int` conditions run as a typed loop per
 //!   [`CompareOp`]; every other pairing goes through [`eval_cmp_cols`].
 //! * [`Pairs`] collects `(probe row, build row)` pairs for one
-//!   column-wise gather per output column
-//!   ([`Batch::gather_pairs_from`](crate::batch::Batch::gather_pairs_from)).
-//! * [`fold_global`] folds a batch into the accumulators of an
-//!   aggregate without `GROUP BY`: `COUNT(*)` adds the row count, typed
-//!   columns fold in row order (float sums keep their bits).
+//!   column-wise gather per output column ([`gather_pairs`]).
+//! * [`fold_global`] folds rows into the accumulators of an aggregate
+//!   without `GROUP BY`: `COUNT(*)` adds the row count, typed columns
+//!   fold in row order (float sums keep their bits).
 
 use super::agg::Acc;
+use super::join::Side;
 use super::{eval_cmp_cols, SlotCond};
 use crate::error::ExecError;
 use hfqo_catalog::ColumnType;
@@ -27,9 +26,13 @@ use hfqo_sql::CompareOp;
 use hfqo_storage::{ColumnVector, Value};
 use std::ops::Range;
 
+/// Rows per output window: large enough to amortise per-window
+/// dispatch, small enough that a window's pair vectors stay in cache.
+pub const BATCH_CAPACITY: usize = 1024;
+
 /// Pair vectors are flushed to the output once they reach this many
-/// pairs, so they stay near one output batch.
-pub(crate) const PAIR_FLUSH: usize = crate::batch::BATCH_CAPACITY;
+/// pairs, so they stay near one window.
+pub(crate) const PAIR_FLUSH: usize = BATCH_CAPACITY;
 
 /// `(probe row, build row)` pairs awaiting one column-wise gather.
 #[derive(Debug, Default)]
@@ -60,6 +63,28 @@ impl Pairs {
     pub(crate) fn clear(&mut self) {
         self.probe.clear();
         self.build.clear();
+    }
+}
+
+/// Appends one joined row per pair `(left_rows[i], right_rows[i])` onto
+/// `dst`, column-wise: output slot `k` gathers from `left` or `right` as
+/// `out_map[k]` says, at that side's row of each pair. Row order is the
+/// pair order.
+pub(crate) fn gather_pairs(
+    dst: &mut [ColumnVector],
+    out_map: &[Side],
+    left: &[ColumnVector],
+    right: &[ColumnVector],
+    left_rows: &[u32],
+    right_rows: &[u32],
+) {
+    debug_assert_eq!(left_rows.len(), right_rows.len());
+    debug_assert_eq!(out_map.len(), dst.len());
+    for (dst, side) in dst.iter_mut().zip(out_map) {
+        match side {
+            Side::Left(s) => left[*s].gather_into(left_rows, dst),
+            Side::Right(s) => right[*s].gather_into(right_rows, dst),
+        }
     }
 }
 
@@ -203,7 +228,7 @@ fn retain(
 /// without `GROUP BY` (`slots[i]` is accumulator `i`'s input column,
 /// `None` for `COUNT(*)`). Results are bit-identical to updating every
 /// accumulator row by row, and so is the error: when an accumulator can
-/// fail (`SUM`/`AVG` over text) the batch folds row-major, so the first
+/// fail (`SUM`/`AVG` over text) the rows fold row-major, so the first
 /// failing `(row, aggregate)` reports.
 pub(crate) fn fold_global(
     accs: &mut [Acc],

@@ -1,24 +1,17 @@
-//! Vectorized physical operators.
+//! The pieces the evaluator ([`crate::parallel`]) builds its stages
+//! from: scan resolution and predicate kernels (`scan`, `filter`), join
+//! output shape (`join`), aggregate semantics (`agg`), the
+//! column-at-a-time join and aggregate kernels (`kernel`), and the
+//! condition and budget helpers below, which the reference row engine
+//! ([`crate::rowexec`]) shares.
 //!
-//! Each operator implements [`crate::operator::Operator`]: it pulls
-//! columnar [`crate::batch::Batch`]es from its children and produces
-//! capacity-bounded output batches, charging every unit of work (row
-//! visits, comparisons, emitted rows) against the shared [`Budget`].
-//! Charge *totals* are identical to the reference row engine's
-//! ([`crate::rowexec`]) — the equivalence suite asserts it — so budget
-//! semantics, catastrophic-plan aborts, and reward shaping are unchanged
-//! by vectorization.
-//!
-//! The per-row and per-pair work runs in column-at-a-time kernels
-//! (`ops/kernel.rs`, and the scan's predicate kernels) that compute but never
-//! charge. Operators charge in bulk with [`Budget::charge_rows`] *before*
-//! the rows a window pays for are materialised, and a window is at most
-//! about one batch. A bulk charge trips at the same unit and reports the
-//! same `work_done` as charging each unit as it is performed, so the
-//! serial engine's [`ExecError::BudgetExceeded`] is exactly that of a
-//! per-unit loop (`tests/golden/abort_trip_points.txt` pins it). The
-//! row engine charges the same units in a different order: its totals
-//! match, its `work_done` at an abort may not.
+//! The per-row and per-pair work runs in kernels that compute but never
+//! charge; the stages charge in bulk *before* the rows a window pays
+//! for are materialised. Charge *totals* are identical to the row
+//! engine's — the equivalence suite asserts it — so budget semantics,
+//! catastrophic-plan aborts, and reward shaping do not depend on the
+//! engine. The row engine charges the same units in a different order:
+//! its totals match, its `work_done` at an abort may not.
 
 pub mod agg;
 pub(crate) mod filter;
@@ -209,7 +202,7 @@ pub(crate) fn index_row_ids(
     Ok(row_ids)
 }
 
-/// Work-budget accountant shared by all operators.
+/// The row engine's work-budget accountant.
 #[derive(Debug)]
 pub struct Budget {
     /// Work performed so far (row visits, comparisons, emitted rows).
@@ -235,26 +228,6 @@ impl Budget {
             })
         } else {
             Ok(())
-        }
-    }
-
-    /// Units that can still be charged without exceeding the limit.
-    #[inline]
-    pub fn headroom(&self) -> u64 {
-        self.limit.saturating_sub(self.work)
-    }
-
-    /// Bulk-charges `n` single-unit rows with the same trip point and
-    /// the same `work_done` at abort as calling [`Budget::charge`]`(1)`
-    /// `n` times — vectorized operators charge whole windows without
-    /// changing the exhaustion state the per-row engine would report.
-    #[inline]
-    pub fn charge_rows(&mut self, n: u64) -> Result<(), ExecError> {
-        let headroom = self.headroom();
-        if n > headroom {
-            self.charge(headroom + 1)
-        } else {
-            self.charge(n)
         }
     }
 }

@@ -1,63 +1,72 @@
-//! Morsel-driven parallel plan evaluation.
+//! Morsel-driven plan evaluation — the batch engine.
 //!
-//! When [`ExecConfig::threads`] exceeds 1, [`crate::execute`] dispatches
-//! here instead of pulling the serial operator pipeline. The plan tree
-//! is evaluated stage by stage — scans, join builds and probes, and
-//! aggregation each fan out over a team of `threads` workers pulling
+//! Every batch execution runs here at every thread count: [`crate::execute`]
+//! and the count path ([`crate::execute_for_stats`], which the
+//! true-cardinality oracle uses). The plan tree is evaluated stage by
+//! stage — scans, join builds and probes, and aggregation each fan out
+//! over a team of up to [`ExecConfig::threads`] workers pulling
 //! fixed-size **morsels** (row ranges) from a shared atomic dispenser —
 //! and every stage's output is reassembled in morsel order before the
-//! next stage starts.
+//! next stage starts. A one-worker team runs on the calling thread.
+//!
+//! Each node's output carries only its **projection** (see
+//! [`crate::projection`]): every column for a plain query, the
+//! `GROUP BY` keys and aggregate inputs below an aggregate, and none at
+//! all on the count path, plus whatever each join needs internally.
 //!
 //! ## Determinism contract
 //!
-//! The parallel evaluator is *bit-identical* to the serial engine at any
-//! thread count and any morsel size, which the equivalence suite
-//! asserts. Three mechanisms make that hold:
+//! Results, row order, float bits and the work total are the same at
+//! any thread count and any morsel size, and the row multiset and work
+//! total equal the reference row engine's ([`crate::rowexec`]); the
+//! equivalence suite asserts both. Three mechanisms make that hold:
 //!
-//! * **Order-preserving reassembly.** Workers tag each morsel's output
-//!   with the morsel index; the stage concatenates them in index order,
-//!   so the row stream entering the next stage equals the serial
-//!   engine's. Join candidate lists are likewise merged in build-row
-//!   order, so probes emit matches in the serial order.
+//! * **Order-preserving reassembly.** Workers tag each run of
+//!   consecutively claimed morsels with its first morsel index; the
+//!   stage concatenates the runs in index order, so the row stream
+//!   entering the next stage is in table and probe order. Join
+//!   candidate lists are likewise merged in build-row order, so probes
+//!   emit matches in build order.
 //! * **Partitioned state instead of shared state.** Hash-join builds and
 //!   grouped aggregation split their keys across partitions by a
 //!   deterministic hash (`DefaultHasher` with its fixed default keys).
 //!   Each partition is built and folded by exactly one worker, with
 //!   partition-local row lists that preserve global input order — a
-//!   group's accumulator folds its rows in the same order as the serial
-//!   engine, so even float `SUM`/`AVG` bits match. No worker ever
+//!   group's accumulator folds its rows in input order, so even float
+//!   `SUM`/`AVG` bits do not depend on the team size. No worker ever
 //!   writes state another worker reads.
 //! * **Charge-total equality.** Workers accumulate work charges locally
-//!   and flush them to one shared atomic counter (every
-//!   `FLUSH_EVERY` units and at worker exit), so the final total
-//!   equals the serial engine's charge total exactly: `u64` addition is
-//!   commutative, and the join and aggregate stages call the serial
-//!   operators' kernels (`ops/kernel.rs`) with the same windows
-//!   and the same bulk charges (`Charger::charge` where the serial
-//!   path calls `Budget::charge_rows`). A plan aborts with
-//!   `BudgetExceeded` under the parallel evaluator iff it aborts under
-//!   the serial one; only the `work_done` overshoot reported on abort
-//!   may differ.
+//!   and flush them to one shared atomic counter (every `FLUSH_EVERY`
+//!   units and at worker exit). `u64` addition is commutative, so the
+//!   total does not depend on the interleaving, and the join and
+//!   aggregate stages charge, through the kernels of `ops/kernel.rs`,
+//!   exactly the units the row engine charges. A plan aborts with
+//!   `BudgetExceeded` at one thread count iff it aborts at every other.
+//!   The `work_done` reported on abort overshoots the budget by less
+//!   than `FLUSH_EVERY` plus one morsel; at one thread it is
+//!   deterministic (`tests/golden/abort_trip_points.txt` pins it).
 //!
-//! Sort-merge joins sort their two sides concurrently (same stable sort,
-//! same comparator as the serial engine) but advance the merge cursors
+//! Sort-merge joins sort their two sides concurrently (the same stable
+//! sort and comparator at any team size) but advance the merge cursors
 //! serially — the merge loop is inherently sequential and its charge
 //! pattern (one unit per cursor comparison) depends on the traversal.
 //! Global (non-`GROUP BY`) aggregates also fold serially, through the
-//! serial operator's column-wise fold: float accumulation is not
-//! associative, and a tree reduction would change result bits.
+//! column-wise fold: float accumulation is not associative, and a tree
+//! reduction would change result bits. Aggregates fold only the input
+//! rows the budget still pays for before they charge, so an update
+//! error on an earlier row wins over the budget trip, as it does row by
+//! row in the row engine.
 //!
 //! [`ExecConfig::threads`]: crate::ExecConfig::threads
 
-use crate::batch::{gather_pairs, Projection};
 use crate::error::ExecError;
 use crate::executor::ExecConfig;
-use crate::operator::{aggregate_inputs, scan_projection, ColSet};
 use crate::ops::agg::{Acc, AggSpec};
 use crate::ops::join::{join_output, Side};
-use crate::ops::kernel::{fold_global, refine, select, Pairs, PAIR_FLUSH};
+use crate::ops::kernel::{fold_global, gather_pairs, refine, select, Pairs, PAIR_FLUSH};
 use crate::ops::scan::ScanSpec;
 use crate::ops::{first_eq, hash_residual, resolve_conds, SlotCond};
+use crate::projection::{aggregate_inputs, scan_projection, ColSet, Projection};
 use crate::row::Row;
 use hfqo_catalog::ColumnType;
 use hfqo_query::{AccessPath, AggAlgo, JoinAlgo, PlanNode, QueryError, QueryGraph, RelId};
@@ -67,6 +76,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::OnceLock;
 
 /// How many locally-accumulated work units a worker buffers before
 /// flushing to the shared budget counter. Bounds both atomic contention
@@ -112,6 +122,21 @@ impl SharedBudget {
         // ordered every flush.
         self.used.load(AtomicOrdering::Relaxed)
     }
+
+    /// Units that can still be added without exceeding the limit. Only
+    /// meaningful between stages, while no worker is charging.
+    fn headroom(&self) -> u64 {
+        self.limit.saturating_sub(self.used())
+    }
+
+    /// Adds `n` single-unit rows with the trip point and the
+    /// `work_done` of adding them one at a time: past the headroom only
+    /// the first unpaid row is charged. Called between stages, like
+    /// [`SharedBudget::headroom`].
+    fn add_rows(&self, n: u64) -> Result<(), ExecError> {
+        let headroom = self.headroom();
+        self.add(n.min(headroom.saturating_add(1)))
+    }
 }
 
 /// Worker-local charge accumulator. Once the shared counter passes the
@@ -138,8 +163,7 @@ impl<'a> Charger<'a> {
     }
 
     /// Pushes pending charges to the shared counter. Must be called at
-    /// worker exit so success leaves the shared total equal to the
-    /// serial engine's.
+    /// worker exit so success leaves the shared total exact.
     fn flush(&mut self) -> Result<(), ExecError> {
         self.shared.add(std::mem::take(&mut self.pending))
     }
@@ -187,7 +211,8 @@ impl Morsels {
 }
 
 /// Runs `work` on `threads` scoped workers and collects their results
-/// in worker order; the lowest-indexed failure wins.
+/// in worker order; the lowest-indexed failure wins. One worker runs on
+/// the calling thread.
 fn run_workers<T, F>(threads: usize, work: F) -> Result<Vec<T>, ExecError>
 where
     T: Send,
@@ -211,9 +236,33 @@ where
     Ok(out)
 }
 
-/// Rows produced by one unit of parallel work — a morsel's output, or a
-/// whole stage's after reassembly. The row count is tracked separately
-/// because zero-width outputs (pure counting pipelines) exist.
+/// The machine's available parallelism, read once per process: the
+/// query reads cgroup files, which costs more than executing a small
+/// plan.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// Hash partitions for a stage run by `team` workers: one for a
+/// one-worker team (nothing to split), otherwise enough that the
+/// per-partition builds balance across the team.
+fn partition_count(team: usize) -> usize {
+    if team <= 1 {
+        1
+    } else {
+        (team * 4).next_power_of_two()
+    }
+}
+
+/// Rows produced by one unit of parallel work — a run of morsels'
+/// output, or a whole stage's after reassembly. The row count is
+/// tracked separately because zero-width outputs (pure counting
+/// plans) exist.
 struct Chunk {
     cols: Vec<ColumnVector>,
     rows: usize,
@@ -227,8 +276,7 @@ impl Chunk {
         }
     }
 
-    /// Appends the joined rows of `pairs` column-wise, like the serial
-    /// join's emission, and clears them.
+    /// Appends the joined rows of `pairs` column-wise and clears them.
     fn take_pairs(
         &mut self,
         out_map: &[Side],
@@ -249,13 +297,55 @@ impl Chunk {
     }
 }
 
-/// Concatenates indexed chunks in index order — the reassembly step
-/// that makes every parallel stage order-preserving.
-fn concat_indexed(types: &[ColumnType], mut chunks: Vec<(usize, Chunk)>) -> Chunk {
+/// One worker's output: a chunk per run of consecutively claimed
+/// morsels, tagged with the run's first morsel index. A worker that
+/// claims every morsel (a one-worker team) produces a single chunk,
+/// which reassembly hands on without copying.
+struct Runs<'t> {
+    types: &'t [ColumnType],
+    chunks: Vec<(usize, Chunk)>,
+    next: usize,
+}
+
+impl<'t> Runs<'t> {
+    fn new(types: &'t [ColumnType]) -> Self {
+        Self {
+            types,
+            chunks: Vec::new(),
+            next: 0,
+        }
+    }
+
+    /// The chunk morsel `idx`'s output appends to: the current run's if
+    /// `idx` directly follows the worker's previous morsel, else a new
+    /// run's.
+    fn chunk(&mut self, idx: usize) -> &mut Chunk {
+        if self.chunks.is_empty() || idx != self.next {
+            self.chunks.push((idx, Chunk::empty(self.types)));
+        }
+        self.next = idx + 1;
+        &mut self.chunks.last_mut().expect("a run was just ensured").1
+    }
+}
+
+/// Concatenates the workers' runs in morsel order — the reassembly step
+/// that makes every stage order-preserving. A lone run is returned as
+/// is.
+fn concat_runs(types: &[ColumnType], workers: Vec<Runs<'_>>) -> Chunk {
+    let mut chunks: Vec<(usize, Chunk)> = workers.into_iter().flat_map(|r| r.chunks).collect();
+    if chunks.len() == 1 {
+        return chunks.pop().expect("one chunk").1;
+    }
     chunks.sort_by_key(|&(idx, _)| idx);
-    let mut out = Chunk::empty(types);
+    let rows = chunks.iter().map(|(_, ch)| ch.rows).sum();
+    let mut out = Chunk {
+        cols: types
+            .iter()
+            .map(|&t| ColumnVector::with_capacity(t, rows))
+            .collect(),
+        rows,
+    };
     for (_, ch) in chunks {
-        out.rows += ch.rows;
         for (dst, src) in out.cols.iter_mut().zip(&ch.cols) {
             dst.append_column(src);
         }
@@ -278,27 +368,24 @@ struct Ctx<'a> {
     budget: &'a SharedBudget,
 }
 
-/// Evaluates `root` with the morsel-driven parallel engine and
-/// materialises the output rows. Results, row order, and the work total
-/// are identical to the serial pipeline in [`crate::execute`].
-pub(crate) fn execute_materialized(
+/// Evaluates `root`, with `required` the columns a non-aggregate root
+/// must carry (an aggregate's input carries its keys and inputs).
+/// Returns the root's output and the work total.
+fn evaluate(
     db: &Database,
     graph: &QueryGraph,
     root: &PlanNode,
     required: &ColSet,
     config: ExecConfig,
-) -> Result<(Vec<Row>, u64), ExecError> {
+) -> Result<(Chunk, u64), ExecError> {
     let budget = SharedBudget::new(config.work_budget);
     // Worker teams never exceed the machine's parallelism: extra
     // threads on an oversubscribed core only add scheduling overhead,
     // and results are identical at any team size by construction.
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let ctx = Ctx {
         db,
         graph,
-        threads: config.threads.clamp(1, hw),
+        threads: config.threads.clamp(1, hardware_threads()),
         morsel_rows: config.morsel_rows.max(1),
         budget: &budget,
     };
@@ -309,13 +396,39 @@ pub(crate) fn execute_materialized(
         }
         node => eval_node(&ctx, node, required)?.data,
     };
-    // Column-wise export, like the serial facade's `Batch::export_rows`.
+    Ok((out, budget.used()))
+}
+
+/// Evaluates `root` and materialises its output rows, exported
+/// column-wise. Returns the rows and the work total.
+pub(crate) fn execute_materialized(
+    db: &Database,
+    graph: &QueryGraph,
+    root: &PlanNode,
+    required: &ColSet,
+    config: ExecConfig,
+) -> Result<(Vec<Row>, u64), ExecError> {
+    let (out, work) = evaluate(db, graph, root, required, config)?;
     let mut rows: Vec<Row> = Vec::new();
     rows.resize_with(out.rows, || Vec::with_capacity(out.cols.len()));
     for col in &out.cols {
         col.values_onto(&mut rows);
     }
-    Ok((rows, budget.used()))
+    Ok((rows, work))
+}
+
+/// Evaluates `root` for its output row count only. Returns the count
+/// and the work total, which equals [`execute_materialized`]'s: work
+/// charges do not depend on which columns a node carries.
+pub(crate) fn count_rows(
+    db: &Database,
+    graph: &QueryGraph,
+    root: &PlanNode,
+    required: &ColSet,
+    config: ExecConfig,
+) -> Result<(usize, u64), ExecError> {
+    let (out, work) = evaluate(db, graph, root, required, config)?;
+    Ok((out.rows, work))
 }
 
 fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOut, ExecError> {
@@ -328,7 +441,8 @@ fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOu
             right,
         } => {
             // Children must additionally carry this join's condition
-            // columns, exactly like the serial pipeline builder.
+            // columns; they are dropped again from this node's output
+            // unless an ancestor requires them.
             let mut cond_cols = Vec::new();
             for &c in conds.iter() {
                 let edge = ctx.graph.joins().get(c).ok_or_else(|| {
@@ -348,10 +462,10 @@ fn eval_node(ctx: &Ctx<'_>, node: &PlanNode, required: &ColSet) -> Result<NodeOu
     }
 }
 
-/// Parallel scan: workers claim morsels of the visit range, filter and
-/// gather locally, and the outputs reassemble in morsel order (= table
-/// order). Charges one unit per visited row plus one per emitted row,
-/// like the serial scan.
+/// Scan: workers claim morsels of the visit range, filter and gather
+/// locally, and the outputs reassemble in morsel order (= visit order).
+/// Charges one unit per visited row plus one per emitted row, like the
+/// row engine.
 fn eval_scan(
     ctx: &Ctx<'_>,
     rel: RelId,
@@ -362,26 +476,25 @@ fn eval_scan(
     let spec = ScanSpec::new(ctx.db, ctx.graph, rel, path, &proj)?;
     let types = proj.column_types(ctx.graph, ctx.db.catalog());
     let morsels = Morsels::new(spec.visit_count(), ctx.morsel_rows);
-    let chunks = run_workers(morsels.team(ctx.threads), |_w| {
+    let runs = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
-        let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let mut runs = Runs::new(&types);
         let mut rid_buf: Vec<u32> = Vec::new();
         while let Some((idx, range)) = morsels.claim() {
             charger.charge(range.len() as u64)?; // visited rows
-            let mut chunk = Chunk::empty(&types);
-            if spec.is_plain_seq() {
+            let chunk = runs.chunk(idx);
+            let emitted = if spec.is_plain_seq() {
                 // Unfiltered sequential morsels copy contiguous column
                 // ranges — no row-id gather.
-                chunk.rows = range.len();
                 for (dst, src) in chunk.cols.iter_mut().zip(spec.projected_columns()) {
                     dst.append_range(src, range.start, range.len());
                 }
+                range.len()
             } else {
-                // Same kernels as the serial scan: one selection vector
-                // per morsel, then a column-wise bulk gather.
+                // One selection vector per morsel from the predicate
+                // kernels, then a column-wise bulk gather.
                 rid_buf.clear();
                 spec.filter_visits(range.start, range.len(), &mut rid_buf);
-                chunk.rows = rid_buf.len();
                 let spans = hfqo_storage::coalesce_spans(&rid_buf);
                 for (dst, src) in chunk.cols.iter_mut().zip(spec.projected_columns()) {
                     match &spans {
@@ -393,14 +506,15 @@ fn eval_scan(
                         None => src.gather_into(&rid_buf, dst),
                     }
                 }
-            }
-            charger.charge(chunk.rows as u64)?; // emitted rows
-            out.push((idx, chunk));
+                rid_buf.len()
+            };
+            chunk.rows += emitted;
+            charger.charge(emitted as u64)?; // emitted rows
         }
         charger.flush()?;
-        Ok(out)
+        Ok(runs)
     })?;
-    let data = concat_indexed(&types, chunks.into_iter().flatten().collect());
+    let data = concat_runs(&types, runs);
     Ok(NodeOut { proj, types, data })
 }
 
@@ -430,28 +544,49 @@ fn eval_join(
 
 /// Deterministic partition of a key: `DefaultHasher` is keyed with
 /// fixed constants, so the same key lands in the same partition on
-/// every run at every thread count.
+/// every run. A single partition (`mask == 0`) skips the hash.
 #[inline]
 fn partition_of<T: Hash + ?Sized>(key: &T, mask: usize) -> usize {
+    if mask == 0 {
+        return 0;
+    }
     let mut h = DefaultHasher::new();
     key.hash(&mut h);
     (h.finish() as usize) & mask
 }
 
-/// One partition's hash table — the same integer fast path / `Value`
-/// fallback split as the serial [`crate::ops::join`] key table.
+/// One partition's hash table, keyed on raw `i64`s (the fast path when
+/// the build key column is integer-typed — no `Value` materialisation
+/// per probe) or on [`Value`]s (everything else). Cross-type numeric
+/// keys never match in either representation, exactly like the row
+/// engine's `HashMap<&Value>` (`Int` and `Float` hash differently by
+/// design; the binder type-checks join keys).
 enum PartTable {
     Int(HashMap<i64, Vec<u32>>),
     Any(HashMap<Value, Vec<u32>>),
 }
 
-/// Radix-partitioned hash join. Build rows are partitioned by key hash
-/// in parallel (charging one unit per build row, NULL keys charged but
-/// excluded, matching the serial build); each partition's table is then
+/// Merges per-morsel partition buckets in morsel order, so each
+/// partition's row list stays ascending.
+fn merge_buckets(parts: usize, workers: Vec<Vec<(usize, Vec<Vec<u32>>)>>) -> Vec<Vec<u32>> {
+    let mut flat: Vec<(usize, Vec<Vec<u32>>)> = workers.into_iter().flatten().collect();
+    flat.sort_by_key(|&(idx, _)| idx);
+    let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); parts];
+    for (_, buckets) in flat {
+        for (p, rows) in buckets.into_iter().enumerate() {
+            partitions[p].extend(rows);
+        }
+    }
+    partitions
+}
+
+/// Radix-partitioned hash join. Build rows (the right input, as in the
+/// row engine) are partitioned by key hash (charging one unit per build
+/// row, NULL keys charged but excluded); each partition's table is then
 /// built by one worker from a row list that preserves build order, so
-/// every key's candidate list is in ascending build-row order — the
-/// serial insertion order. Probe morsels look up their partition's
-/// table without touching shared state and emit in probe order.
+/// every key's candidate list is in ascending build-row order. Probe
+/// morsels look up their partition's table without touching shared
+/// state and emit in probe order.
 fn hash_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -463,14 +598,15 @@ fn hash_join(
     let key = first_eq(conds).ok_or_else(|| {
         QueryError::InvalidPlan("hash join requires an equality condition".into())
     })?;
-    let parts = (ctx.threads * 4).next_power_of_two();
-    let mask = parts - 1;
     let int_keyed = right.types.get(key.r_slot) == Some(&ColumnType::Int);
     let build_col = &right.data.cols[key.r_slot];
 
     // Build partition pass.
     let morsels = Morsels::new(right.data.rows, ctx.morsel_rows);
-    let parted = run_workers(morsels.team(ctx.threads), |_w| {
+    let team = morsels.team(ctx.threads);
+    let parts = partition_count(team);
+    let mask = parts - 1;
+    let parted = run_workers(team, |_w| {
         let mut charger = Charger::new(ctx.budget);
         let mut out: Vec<(usize, Vec<Vec<u32>>)> = Vec::new();
         while let Some((idx, range)) = morsels.claim() {
@@ -493,16 +629,7 @@ fn hash_join(
         charger.flush()?;
         Ok(out)
     })?;
-    // Merge per-morsel buckets in morsel order: each partition's row
-    // list stays ascending, so candidate lists match the serial table.
-    let mut flat: Vec<(usize, Vec<Vec<u32>>)> = parted.into_iter().flatten().collect();
-    flat.sort_by_key(|&(idx, _)| idx);
-    let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); parts];
-    for (_, buckets) in flat {
-        for (p, rows) in buckets.into_iter().enumerate() {
-            partitions[p].extend(rows);
-        }
-    }
+    let partitions = merge_buckets(parts, parted);
 
     // Per-partition table build — charge-free (the build was charged in
     // the partition pass), one worker per partition.
@@ -539,18 +666,18 @@ fn hash_join(
         .collect();
 
     // Probe pass: one unit per probe row, one per candidate, one per
-    // emitted row — the serial probe charges, through the same kernels.
+    // emitted row, each window charged before its pairs are gathered.
     let residual = hash_residual(conds, int_keyed);
     let (probe, build) = (&left.data.cols, &right.data.cols);
     let probe_col = &probe[key.l_slot];
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
-    let chunks = run_workers(morsels.team(ctx.threads), |_w| {
+    let runs = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
-        let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let mut runs = Runs::new(types);
         let (mut sel, mut pairs) = (Vec::new(), Pairs::default());
         while let Some((idx, range)) = morsels.claim() {
             charger.charge(range.len() as u64)?;
-            let mut chunk = Chunk::empty(types);
+            let chunk = runs.chunk(idx);
             for row in range {
                 let candidates = if int_keyed {
                     probe_col
@@ -580,20 +707,17 @@ fn hash_join(
                 }
             }
             chunk.take_pairs(out_map, probe, build, &mut pairs);
-            out.push((idx, chunk));
         }
         charger.flush()?;
-        Ok(out)
+        Ok(runs)
     })?;
-    Ok(concat_indexed(
-        types,
-        chunks.into_iter().flatten().collect(),
-    ))
+    Ok(concat_runs(types, runs))
 }
 
-/// Parallel nested-loop join: probe morsels against the fully
-/// materialised inner side, through the serial kernels. One unit per
-/// (probe, inner) pair, one per emitted row.
+/// Nested-loop join: probe morsels (the left input) against the fully
+/// materialised inner side, per probe row and window of up to
+/// `PAIR_FLUSH` inner rows. One unit per (probe, inner) pair checked,
+/// one per emitted row.
 fn nested_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -605,12 +729,12 @@ fn nested_join(
     let (probe, inner) = (&left.data.cols, &right.data.cols);
     let inner_rows = right.data.rows;
     let morsels = Morsels::new(left.data.rows, ctx.morsel_rows);
-    let chunks = run_workers(morsels.team(ctx.threads), |_w| {
+    let runs = run_workers(morsels.team(ctx.threads), |_w| {
         let mut charger = Charger::new(ctx.budget);
-        let mut out: Vec<(usize, Chunk)> = Vec::new();
+        let mut runs = Runs::new(types);
         let (mut sel, mut pairs) = (Vec::new(), Pairs::default());
         while let Some((idx, range)) = morsels.claim() {
-            let mut chunk = Chunk::empty(types);
+            let chunk = runs.chunk(idx);
             for row in range {
                 for start in (0..inner_rows).step_by(PAIR_FLUSH) {
                     let window = start..inner_rows.min(start + PAIR_FLUSH);
@@ -624,21 +748,19 @@ fn nested_join(
                 }
             }
             chunk.take_pairs(out_map, probe, inner, &mut pairs);
-            out.push((idx, chunk));
         }
         charger.flush()?;
-        Ok(out)
+        Ok(runs)
     })?;
-    Ok(concat_indexed(
-        types,
-        chunks.into_iter().flatten().collect(),
-    ))
+    Ok(concat_runs(types, runs))
 }
 
-/// Sort-merge join: the two key sorts run concurrently (same stable
-/// sort and comparator as the serial engine, so the permutations are
-/// identical); the merge itself advances serially because its charge
-/// pattern — one unit per cursor comparison — depends on the traversal.
+/// Sort-merge join: the two key sorts run concurrently on a multi-worker
+/// team (the same stable sort and comparator, so the permutations do
+/// not depend on it); the merge itself advances serially because its
+/// charge pattern — one unit per cursor comparison, then one per pair
+/// checked and per row emitted in each equal block — depends on the
+/// traversal.
 fn merge_join(
     ctx: &Ctx<'_>,
     conds: &[SlotCond],
@@ -718,80 +840,91 @@ fn merge_join(
     Ok(chunk)
 }
 
-/// Parallel aggregation. Grouped inputs are partitioned by key hash
-/// (order-preserving within each partition, one unit per input row) and
-/// folded partition-by-partition — a group's rows land wholly in one
-/// partition, so every accumulator folds in global input order and
-/// float sums are bit-identical to the serial engine. Global aggregates
-/// fold serially for the same reason.
+/// Aggregation at the plan root. Charges, like the row engine, (for
+/// sort aggregation) one unit per input row for the sort, then one per
+/// input row, then one per output row.
+///
+/// Only the input rows the budget still pays for are folded, and they
+/// are charged afterwards with [`SharedBudget::add_rows`]: an update
+/// error on a paid row wins, and otherwise the charge trips at the
+/// first unpaid row, as row by row. Grouped inputs are partitioned by
+/// key hash (order-preserving within each partition) and folded
+/// partition by partition — a group's rows land wholly in one
+/// partition, so every accumulator folds in input order and float sums
+/// do not depend on the team size; a failed update reports the lowest
+/// failing input row across partitions. Global aggregates fold serially
+/// for the same reason.
 fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk, ExecError> {
     let spec = AggSpec::resolve(ctx.graph, ctx.db.catalog(), &child.proj)?;
     let input_rows = child.data.rows;
+    if algo == AggAlgo::Sort {
+        // The sort's cost, charged up front on the input size like the
+        // row engine.
+        ctx.budget.add(input_rows as u64)?;
+    }
+    let paid = ctx.budget.headroom().min(input_rows as u64) as usize;
 
     let mut out_rows: Vec<Vec<Value>> = if spec.key_slots.is_empty() {
-        ctx.budget.add(input_rows as u64)?;
         let mut accs = spec.new_accs();
-        fold_global(&mut accs, &spec.agg_slots, &child.data.cols, input_rows)?;
+        fold_global(&mut accs, &spec.agg_slots, &child.data.cols, paid)?;
         // An aggregate over zero rows with no GROUP BY still yields one
         // row (SQL semantics: COUNT(*) = 0) — `new_accs` covers it.
         vec![accs.into_iter().map(Acc::finish).collect()]
     } else {
-        let parts = (ctx.threads * 4).next_power_of_two();
-        let mask = parts - 1;
         let key_cols: Vec<&ColumnVector> = spec
             .key_slots
             .iter()
             .map(|&s| &child.data.cols[s])
             .collect();
 
-        // Partition pass (one unit per input row, the serial grouping
-        // charge).
-        let morsels = Morsels::new(input_rows, ctx.morsel_rows);
-        let parted = run_workers(morsels.team(ctx.threads), |_w| {
-            let mut charger = Charger::new(ctx.budget);
+        // Partition pass over the paid rows.
+        let morsels = Morsels::new(paid, ctx.morsel_rows);
+        let team = morsels.team(ctx.threads);
+        let parts = partition_count(team);
+        let mask = parts - 1;
+        let parted = run_workers(team, |_w| {
             let mut out: Vec<(usize, Vec<Vec<u32>>)> = Vec::new();
             while let Some((idx, range)) = morsels.claim() {
-                charger.charge(range.len() as u64)?;
                 let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); parts];
                 for row in range {
-                    let mut h = DefaultHasher::new();
-                    for col in &key_cols {
-                        col.get(row).hash(&mut h);
-                    }
-                    buckets[(h.finish() as usize) & mask].push(row as u32);
+                    let p = if mask == 0 {
+                        0
+                    } else {
+                        let mut h = DefaultHasher::new();
+                        for col in &key_cols {
+                            col.get(row).hash(&mut h);
+                        }
+                        (h.finish() as usize) & mask
+                    };
+                    buckets[p].push(row as u32);
                 }
                 out.push((idx, buckets));
             }
-            charger.flush()?;
             Ok(out)
         })?;
-        let mut flat: Vec<(usize, Vec<Vec<u32>>)> = parted.into_iter().flatten().collect();
-        flat.sort_by_key(|&(idx, _)| idx);
-        let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        for (_, buckets) in flat {
-            for (p, rows) in buckets.into_iter().enumerate() {
-                partitions[p].extend(rows);
-            }
-        }
+        let partitions = merge_buckets(parts, parted);
 
         // Fold pass: disjoint key sets per partition, no accumulator
-        // merging, charge-free (the input rows were charged above).
+        // merging. A partition stops at its first failing row (its row
+        // list is ascending) and reports that row.
         let jobs = Morsels::new(parts, 1);
         let folded = run_workers(ctx.threads.min(parts), |_w| {
             let mut out: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
+            let mut failed: Option<(u32, ExecError)> = None;
             while let Some((p, _)) = jobs.claim() {
                 let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-                for &row in &partitions[p] {
-                    let row = row as usize;
-                    let k: Vec<Value> = spec
-                        .key_slots
-                        .iter()
-                        .map(|&s| child.data.cols[s].get(row))
-                        .collect();
+                'rows: for &row in &partitions[p] {
+                    let r = row as usize;
+                    let k: Vec<Value> = key_cols.iter().map(|col| col.get(r)).collect();
                     let accs = groups.entry(k).or_insert_with(|| spec.new_accs());
                     for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
-                        let v = slot.map(|s| child.data.cols[s].get(row));
-                        acc.update(v.as_ref())?;
+                        let v = slot.map(|s| child.data.cols[s].get(r));
+                        if let Err(e) = acc.update(v.as_ref()) {
+                            if failed.as_ref().is_none_or(|(first, _)| row < *first) {
+                                failed = Some((row, e));
+                            }
+                            break 'rows;
+                        }
                     }
                 }
                 let rows: Vec<Vec<Value>> = groups
@@ -803,20 +936,29 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
                     .collect();
                 out.push((p, rows));
             }
-            Ok(out)
+            Ok((out, failed))
         })?;
-        let mut flat: Vec<(usize, Vec<Vec<Value>>)> = folded.into_iter().flatten().collect();
+        let mut flat: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
+        let mut failed: Option<(u32, ExecError)> = None;
+        for (out, f) in folded {
+            flat.extend(out);
+            if let Some((row, e)) = f {
+                if failed.as_ref().is_none_or(|(first, _)| row < *first) {
+                    failed = Some((row, e));
+                }
+            }
+        }
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
         flat.sort_by_key(|&(p, _)| p);
         flat.into_iter().flat_map(|(_, rows)| rows).collect()
     };
-
+    ctx.budget.add_rows(input_rows as u64)?;
     if algo == AggAlgo::Sort {
-        // The sort's cost, charged on the input size like the serial
-        // engines.
-        ctx.budget.add(input_rows as u64)?;
         out_rows.sort();
     }
-    ctx.budget.add(out_rows.len() as u64)?;
+    ctx.budget.add_rows(out_rows.len() as u64)?;
     let mut chunk = Chunk::empty(&spec.out_types);
     for row in &out_rows {
         for (col, v) in chunk.cols.iter_mut().zip(row) {
@@ -826,4 +968,156 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
         chunk.rows += 1;
     }
     Ok(chunk)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::projection::all_columns;
+    use hfqo_catalog::{Catalog, Column, ColumnId, TableSchema};
+    use hfqo_query::{AggExpr, BoundColumn, JoinEdge, Relation, Selection};
+    use hfqo_sql::{AggFunc, CompareOp};
+
+    /// Two tables a(k, v, pad), b(k, w); query joins a.k = b.k with a
+    /// selection on a.v and COUNT(*) + SUM(b.w).
+    fn setup() -> (Database, QueryGraph) {
+        let mut cat = Catalog::new();
+        let a = cat
+            .add_table(TableSchema::new(
+                "a",
+                vec![
+                    Column::new("k", ColumnType::Int),
+                    Column::new("v", ColumnType::Int),
+                    Column::new("pad", ColumnType::Text),
+                ],
+            ))
+            .unwrap();
+        let b = cat
+            .add_table(TableSchema::new(
+                "b",
+                vec![
+                    Column::new("k", ColumnType::Int),
+                    Column::new("w", ColumnType::Int),
+                ],
+            ))
+            .unwrap();
+        let mut db = Database::new(cat);
+        for i in 0..10i64 {
+            db.table_mut(a)
+                .unwrap()
+                .append_row(&[Value::Int(i), Value::Int(i % 3), Value::str("x")])
+                .unwrap();
+            db.table_mut(b)
+                .unwrap()
+                .append_row(&[Value::Int(i % 5), Value::Int(i)])
+                .unwrap();
+        }
+        let graph = QueryGraph::new(
+            vec![
+                Relation {
+                    table: a,
+                    alias: "a".into(),
+                },
+                Relation {
+                    table: b,
+                    alias: "b".into(),
+                },
+            ],
+            vec![JoinEdge {
+                left: BoundColumn::new(RelId(0), ColumnId(0)),
+                op: CompareOp::Eq,
+                right: BoundColumn::new(RelId(1), ColumnId(0)),
+            }],
+            vec![Selection {
+                column: BoundColumn::new(RelId(0), ColumnId(1)),
+                op: CompareOp::Eq,
+                value: hfqo_query::Lit::Int(0),
+            }],
+            vec![
+                AggExpr {
+                    func: AggFunc::Count,
+                    column: None,
+                },
+                AggExpr {
+                    func: AggFunc::Sum,
+                    column: Some(BoundColumn::new(RelId(1), ColumnId(1))),
+                },
+            ],
+            vec![],
+        );
+        (db, graph)
+    }
+
+    /// Evaluates the hash join a ⋈ b carrying `required`, on one worker.
+    /// Returns the node's output and the work charged.
+    fn eval_join(required: &ColSet) -> (NodeOut, u64) {
+        let (db, graph) = setup();
+        let join = PlanNode::Join {
+            algo: JoinAlgo::Hash,
+            conds: vec![0],
+            left: Box::new(PlanNode::Scan {
+                rel: RelId(0),
+                path: AccessPath::SeqScan,
+            }),
+            right: Box::new(PlanNode::Scan {
+                rel: RelId(1),
+                path: AccessPath::SeqScan,
+            }),
+        };
+        let budget = SharedBudget::new(1_000_000);
+        let ctx = Ctx {
+            db: &db,
+            graph: &graph,
+            threads: 1,
+            morsel_rows: 4096,
+            budget: &budget,
+        };
+        let out = eval_node(&ctx, &join, required).unwrap();
+        (out, budget.used())
+    }
+
+    fn slots(proj: &Projection) -> Vec<(u32, u32)> {
+        proj.columns()
+            .iter()
+            .map(|c| (c.rel.0, c.column.0))
+            .collect()
+    }
+
+    #[test]
+    fn full_requirement_matches_row_layout_order() {
+        let (db, graph) = setup();
+        let (out, _) = eval_join(&all_columns(&graph, &db));
+        // Leaf order (a then b), column-id order within each leaf — the
+        // row engine's layout.
+        assert_eq!(
+            slots(&out.proj),
+            vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        );
+        assert_eq!(out.data.cols.len(), 5);
+    }
+
+    #[test]
+    fn aggregate_requirement_prunes_unreferenced_columns() {
+        let (_, graph) = setup();
+        let (out, _) = eval_join(&aggregate_inputs(&graph));
+        // Only b.w survives above the join: a.k/b.k are consumed by the
+        // join itself, a.v by the scan filter, a.pad by nothing.
+        assert_eq!(slots(&out.proj), vec![(1, 1)]);
+    }
+
+    #[test]
+    fn empty_requirement_yields_zero_width_output() {
+        let (out, _) = eval_join(&ColSet::new());
+        assert_eq!(out.proj.width(), 0);
+        assert!(out.data.cols.is_empty());
+    }
+
+    #[test]
+    fn counts_match_row_semantics() {
+        // a.v = 0 keeps a ids {0, 3, 6, 9}; b.k = i % 5 has 2 rows per
+        // key in 0..5 → ids 0 and 3 match 2 rows each, 6/9 none.
+        let (out, work) = eval_join(&ColSet::new());
+        assert_eq!(out.data.rows, 4);
+        assert!(work > 0);
+    }
 }

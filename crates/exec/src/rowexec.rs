@@ -3,7 +3,7 @@
 //! This is the original materialising executor: every operator consumes
 //! and produces whole `Vec<Row>`s of full-arity rows. It is kept —
 //! unchanged in semantics — as the *reference* implementation the batch
-//! pipeline is verified against: the equivalence suite asserts identical
+//! engine is verified against: the equivalence suite asserts identical
 //! row multisets and identical [`ExecStats::work`] totals, and
 //! `benches/executor.rs` measures row-vs-batch throughput.
 //!

@@ -126,9 +126,9 @@ impl<'a> TrueCardinality<'a> {
         // Subset plans are structurally valid by construction (each
         // relation scanned once, conditions span inputs), so bypass the
         // full-coverage validation `execute` performs. Counting runs
-        // through the batch pipeline with an *empty* required column
-        // set: only join-condition columns flow, and no output is ever
-        // materialised — the oracle just sums batch row counts.
+        // through the batch engine with an *empty* required column
+        // set: only join-condition columns flow, and no output row is
+        // ever exported — the oracle just reads the root's row count.
         let (rows, _work) =
             crate::executor::count_rows_unvalidated(self.db, graph, plan, self.config)?;
         Ok(rows as f64)

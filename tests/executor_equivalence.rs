@@ -1,15 +1,15 @@
 //! Batch-vs-row executor equivalence.
 //!
-//! The vectorized batch pipeline must be *observationally identical* to
+//! The batch engine must be *observationally identical* to
 //! the reference row engine: identical row multisets (hash-grouped
 //! output order may differ) and identical `ExecStats.work` totals, on
 //! every workload the experiments use — synthetic chain/star/cycle
 //! queries and the IMDB/JOB-like suite — across expert plans, random
 //! plans, every join algorithm, and budget-capped aborts.
 //!
-//! Every check also runs the **morsel-driven parallel evaluator** at
-//! each thread count in `HFQO_EXEC_THREADS` (default `2,4`): parallel
-//! results must match the serial batch pipeline *in exact row order*
+//! Every check also runs the batch engine with a **morsel-driven
+//! worker team** at each thread count in `HFQO_EXEC_THREADS` (default
+//! `2,4`): parallel results must match one thread's *in exact row order*
 //! (hash-grouped aggregates excepted — their emission order is
 //! unspecified in both engines), with identical work totals, and abort
 //! on exactly the same budgets.
@@ -863,14 +863,15 @@ mod kernel_coverage {
 }
 
 mod trip_points {
-    //! Golden: where the serial batch engine stops. `assert_equivalent`
-    //! compares only the reported budget on aborts; this pins the full
-    //! outcome — `Ok(work)` or `BudgetExceeded(work_done)` — of every
-    //! over-budget JOB expert plan, a prefix of the others, and the
-    //! synthetic random-plan set, each at a ladder of budgets, so a
-    //! change to how operators charge (bulk vs per unit) cannot move a
-    //! trip point unnoticed. Regenerate deliberately with
-    //! `HFQO_BLESS=1 cargo test --test executor_equivalence golden`.
+    //! Golden: where the batch engine stops on one worker.
+    //! `assert_equivalent` compares only the reported budget on aborts;
+    //! this pins the full outcome — `Ok(work)` or
+    //! `BudgetExceeded(work_done)` — of every over-budget JOB expert
+    //! plan, a prefix of the others, and the synthetic random-plan set,
+    //! each at a ladder of budgets, so a change to how the stages charge
+    //! cannot move a trip point unnoticed. Every abort must also land
+    //! within [`MAX_OVERSHOOT`] of its budget. Regenerate deliberately
+    //! with `HFQO_BLESS=1 cargo test --test executor_equivalence golden`.
 
     use super::*;
     use hfqo::workload::imdb::{build_imdb, ImdbConfig};
@@ -882,6 +883,10 @@ mod trip_points {
     const DEFAULT_BUDGET: u64 = 5_000_000;
     /// Plans within the default budget pinned besides the aborting ones.
     const JOB_PREFIX: usize = 12;
+    /// How far past its budget an abort may report: a worker flushes its
+    /// charges every 4096 units, and one charge covers at most one
+    /// morsel (4096 rows by default) or one window of pairs.
+    const MAX_OVERSHOOT: u64 = 8192;
 
     /// One outcome line per budget: 10, 10³, 10⁵, the default, and one
     /// unit below the plan's unbudgeted work when that fits the default.
@@ -899,6 +904,11 @@ mod trip_points {
                 budget: b,
             }) => {
                 assert_eq!(b, budget, "{:?}: reported budget", graph.label);
+                assert!(
+                    budget < work_done && work_done <= budget + MAX_OVERSHOOT,
+                    "{:?}: work_done {work_done} at budget {budget}",
+                    graph.label
+                );
                 (format!("BudgetExceeded({work_done})"), None)
             }
             Err(e) => panic!("{:?}: {e:?}", graph.label),
