@@ -237,8 +237,8 @@ where
 }
 
 /// The machine's available parallelism, read once per process: the
-/// query reads cgroup files, which costs more than executing a small
-/// plan.
+/// lookup reads cgroup files, tens of microseconds that would otherwise
+/// be paid by every execution.
 fn hardware_threads() -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| {
@@ -910,7 +910,7 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
         let jobs = Morsels::new(parts, 1);
         let folded = run_workers(ctx.threads.min(parts), |_w| {
             let mut out: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
-            let mut failed: Option<(u32, ExecError)> = None;
+            let mut failed: Vec<(u32, ExecError)> = Vec::new();
             while let Some((p, _)) = jobs.claim() {
                 let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
                 'rows: for &row in &partitions[p] {
@@ -920,9 +920,7 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
                     for (acc, slot) in accs.iter_mut().zip(&spec.agg_slots) {
                         let v = slot.map(|s| child.data.cols[s].get(r));
                         if let Err(e) = acc.update(v.as_ref()) {
-                            if failed.as_ref().is_none_or(|(first, _)| row < *first) {
-                                failed = Some((row, e));
-                            }
+                            failed.push((row, e));
                             break 'rows;
                         }
                     }
@@ -939,16 +937,12 @@ fn eval_aggregate(ctx: &Ctx<'_>, algo: AggAlgo, child: &NodeOut) -> Result<Chunk
             Ok((out, failed))
         })?;
         let mut flat: Vec<(usize, Vec<Vec<Value>>)> = Vec::new();
-        let mut failed: Option<(u32, ExecError)> = None;
+        let mut failed: Vec<(u32, ExecError)> = Vec::new();
         for (out, f) in folded {
             flat.extend(out);
-            if let Some((row, e)) = f {
-                if failed.as_ref().is_none_or(|(first, _)| row < *first) {
-                    failed = Some((row, e));
-                }
-            }
+            failed.extend(f);
         }
-        if let Some((_, e)) = failed {
+        if let Some((_, e)) = failed.into_iter().min_by_key(|&(row, _)| row) {
             return Err(e);
         }
         flat.sort_by_key(|&(p, _)| p);
@@ -1050,7 +1044,7 @@ mod tests {
 
     /// Evaluates the hash join a ⋈ b carrying `required`, on one worker.
     /// Returns the node's output and the work charged.
-    fn eval_join(required: &ColSet) -> (NodeOut, u64) {
+    fn evaluate_join(required: &ColSet) -> (NodeOut, u64) {
         let (db, graph) = setup();
         let join = PlanNode::Join {
             algo: JoinAlgo::Hash,
@@ -1086,7 +1080,7 @@ mod tests {
     #[test]
     fn full_requirement_matches_row_layout_order() {
         let (db, graph) = setup();
-        let (out, _) = eval_join(&all_columns(&graph, &db));
+        let (out, _) = evaluate_join(&all_columns(&graph, &db));
         // Leaf order (a then b), column-id order within each leaf — the
         // row engine's layout.
         assert_eq!(
@@ -1099,7 +1093,7 @@ mod tests {
     #[test]
     fn aggregate_requirement_prunes_unreferenced_columns() {
         let (_, graph) = setup();
-        let (out, _) = eval_join(&aggregate_inputs(&graph));
+        let (out, _) = evaluate_join(&aggregate_inputs(&graph));
         // Only b.w survives above the join: a.k/b.k are consumed by the
         // join itself, a.v by the scan filter, a.pad by nothing.
         assert_eq!(slots(&out.proj), vec![(1, 1)]);
@@ -1107,7 +1101,7 @@ mod tests {
 
     #[test]
     fn empty_requirement_yields_zero_width_output() {
-        let (out, _) = eval_join(&ColSet::new());
+        let (out, _) = evaluate_join(&ColSet::new());
         assert_eq!(out.proj.width(), 0);
         assert!(out.data.cols.is_empty());
     }
@@ -1116,7 +1110,7 @@ mod tests {
     fn counts_match_row_semantics() {
         // a.v = 0 keeps a ids {0, 3, 6, 9}; b.k = i % 5 has 2 rows per
         // key in 0..5 → ids 0 and 3 match 2 rows each, 6/9 none.
-        let (out, work) = eval_join(&ColSet::new());
+        let (out, work) = evaluate_join(&ColSet::new());
         assert_eq!(out.data.rows, 4);
         assert!(work > 0);
     }
